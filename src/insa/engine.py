@@ -23,7 +23,7 @@ from .constants import (
 )
 from .geodesy import GeodeticPosition, d_geopotential_d_geodetic, geodetic_to_geopotential
 from .offset_field import OffsetField
-from .static_atmosphere import state_at_geopotential, vertical_gradients
+from .static_atmosphere import _column_anchors, gradients_of_state, state_at_geopotential
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,34 @@ class PropertyRates:
 class QuasiStaticModel:
     """A weather field bound to the static column model.
 
-    Immutable and safe to share between any number of concurrent
-    trajectory integrators.
+    ``query`` remembers the last point it solved, as one
+    ``((t, lon, lat, h), state)`` pair; ``property_rates`` at exactly that
+    point (float equality of all four coordinates) reuses the state instead
+    of evaluating the field and solving the column a second time, so an
+    integrator calling both per step pays for one.  Errors are never
+    remembered.  The pair is replaced by a single attribute store and read
+    by a single attribute load, so a model shared between concurrent
+    trajectory integrators can at worst miss and recompute, never return
+    another point's state.  The memo takes no part in eq, repr or hash.
     """
 
     field: OffsetField
     constants: IsaConstants = dataclass_field(default_factory=constants)
     bounds: OffsetBounds = DEFAULT_OFFSET_BOUNDS
+    _last: tuple = dataclass_field(
+        default=(None, None), init=False, repr=False, compare=False
+    )
 
     def offsets_at(self, t: float, lon: float, lat: float) -> Offsets:
         """Field evaluation followed by validation against the model bounds."""
         return validate_offsets(self.field.evaluate(t, lon, lat), self.bounds)
+
+    def _solve(self, t: float, position: GeodeticPosition) -> AtmosphericState:
+        # Validated once, against the model bounds; the anchors are then
+        # built without a second check against the package defaults.
+        offsets = self.offsets_at(t, position.lon, position.lat)
+        H = geodetic_to_geopotential(position.h)
+        return state_at_geopotential(H, _column_anchors(offsets))
 
     def query(self, t: float, position: GeodeticPosition) -> AtmosphericState:
         """Atmospheric state at one time and geodetic position.
@@ -57,9 +74,11 @@ class QuasiStaticModel:
         Equivalent to the manual pipeline: evaluate the field, convert
         h to H, query the static column.
         """
-        offsets = self.offsets_at(t, position.lon, position.lat)
-        H = geodetic_to_geopotential(position.h)
-        return state_at_geopotential(H, offsets)
+        state = self._solve(t, position)
+        object.__setattr__(
+            self, "_last", ((t, position.lon, position.lat, position.h), state)
+        )
+        return state
 
     def property_rates(
         self, t: float, position: GeodeticPosition, h_dot: float
@@ -70,9 +89,10 @@ class QuasiStaticModel:
         conversion; the offsets are held frozen at (t, lon, lat), so a
         time-varying field contributes nothing at h_dot = 0 by design.
         """
-        offsets = self.offsets_at(t, position.lon, position.lat)
-        H = geodetic_to_geopotential(position.h)
-        gradients = vertical_gradients(H, offsets)
+        key, state = self._last
+        if key != (t, position.lon, position.lat, position.h):
+            state = self._solve(t, position)
+        gradients = gradients_of_state(state)
         H_dot = d_geopotential_d_geodetic(position.h) * h_dot
         return PropertyRates(
             dp_dt=gradients.dp_dH * H_dot,

@@ -24,12 +24,10 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field as dataclass_field
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from .constants import Offsets, validate_offsets
+from .constants import DEFAULT_OFFSET_BOUNDS, P0, Offsets, validate_offsets
 from .errors import (
     AtmosphereError,
     EmptyNode,
@@ -41,6 +39,9 @@ from .errors import (
 )
 from .geodesy import TWO_PI, check_latitude, normalize_longitude
 from .identification import Observation, identify_offsets
+
+if TYPE_CHECKING:  # numpy is imported where grids are built, not with the package
+    import numpy as np
 
 GRID_HEADER = "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"
 OBSERVATION_HEADER = "t_s,lon_deg,lat_deg,h_m,p_pa,t_k"
@@ -124,14 +125,16 @@ class WaypointField(OffsetField):
     """Piecewise-linear offsets over an ordered list of waypoints."""
 
     waypoints: tuple[Waypoint, ...]
+    _times: tuple[float, ...] = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         if len(self.waypoints) < 2:
             raise ValueError("a waypoint field needs at least two waypoints")
-        times = [w.t for w in self.waypoints]
+        times = tuple(w.t for w in self.waypoints)
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise ValueError(f"waypoint times must be strictly increasing, got {times}")
+            raise ValueError(f"waypoint times must be strictly increasing, got {list(times)}")
+        object.__setattr__(self, "_times", times)
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
         points = self.waypoints
@@ -139,8 +142,7 @@ class WaypointField(OffsetField):
             return points[0].offsets
         if t >= points[-1].t:
             return points[-1].offsets
-        times = [w.t for w in points]
-        i = bisect_right(times, t) - 1
+        i = bisect_right(self._times, t) - 1
         left, right = points[i], points[i + 1]
         s = (t - left.t) / (right.t - left.t)
         return _lerp_offsets(left.offsets, right.offsets, s)
@@ -151,7 +153,9 @@ class OffsetGrid3D:
     """Dense rectilinear grid of offset pairs over (t, lon, lat).
 
     Axes are strictly increasing; longitude nodes live in [0, 2*pi) and
-    the axis is treated as periodic across the seam.
+    the axis is treated as periodic across the seam.  The value arrays are
+    kept as C-contiguous float64 (copied only when given otherwise), the
+    storage ``GridField`` interpolates from.
     """
 
     t_axis: tuple[float, ...]    # [s]
@@ -179,19 +183,29 @@ class OffsetGrid3D:
             raise NonMonotonicAxis(f"longitude axis must lie in [0, 2*pi): {self.lon_axis}")
         for v in self.lat_axis:
             check_latitude(v)
+        import numpy as np
+
         shape = (len(self.t_axis), len(self.lon_axis), len(self.lat_axis))
-        dT = np.asarray(self.delta_T, dtype=float)
-        dp = np.asarray(self.delta_p, dtype=float)
+        dT = np.ascontiguousarray(self.delta_T, dtype=float)
+        dp = np.ascontiguousarray(self.delta_p, dtype=float)
         if dT.shape != shape or dp.shape != shape:
             raise ValueError(
                 f"value arrays must have shape {shape}, got {dT.shape} and {dp.shape}"
             )
         object.__setattr__(self, "delta_T", dT)
         object.__setattr__(self, "delta_p", dp)
-        for it in range(shape[0]):
-            for il in range(shape[1]):
-                for ik in range(shape[2]):
-                    validate_offsets(Offsets(float(dT[it, il, ik]), float(dp[it, il, ik])))
+        # The node-wise ``validate_offsets`` test as masks; the first failing
+        # node in C order then raises through ``validate_offsets`` itself.
+        b = DEFAULT_OFFSET_BOUNDS
+        with np.errstate(invalid="ignore"):
+            valid = (
+                np.isfinite(dT) & np.isfinite(dp) & (dp > -P0)
+                & (dT >= b.delta_T_min) & (dT <= b.delta_T_max)
+                & (dp >= b.delta_p_min) & (dp <= b.delta_p_max)
+            )
+        if not valid.all():
+            first = int(np.argmin(valid.ravel()))
+            validate_offsets(Offsets(float(dT.flat[first]), float(dp.flat[first])))
 
     @property
     def n_nodes(self) -> int:
@@ -228,21 +242,26 @@ def _bracket_periodic(axis: Sequence[float], lon: float) -> tuple[int, int, floa
     return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
 
 
-def _trilerp(values: np.ndarray, bt, bl, bk) -> float:
-    i0, i1, wi = bt
-    j0, j1, wj = bl
-    k0, k1, wk = bk
+def _trilerp(
+    values: memoryview, corners: tuple[int, ...], wi: float, wj: float, wk: float
+) -> float:
+    """Trilinear blend of the eight flat-indexed corners, time first.
 
-    def lerp(a: float, b: float, w: float) -> float:
-        return a + w * (b - a)
-
-    c00 = lerp(values[i0, j0, k0], values[i1, j0, k0], wi)
-    c10 = lerp(values[i0, j1, k0], values[i1, j1, k0], wi)
-    c01 = lerp(values[i0, j0, k1], values[i1, j0, k1], wi)
-    c11 = lerp(values[i0, j1, k1], values[i1, j1, k1], wi)
-    c0 = lerp(c00, c10, wj)
-    c1 = lerp(c01, c11, wj)
-    return float(lerp(c0, c1, wk))
+    ``corners`` lists the flat indices of (i, j, k) for i, j, k in (0, 1)
+    with i varying fastest; each step is ``a + w * (b - a)``.
+    """
+    n000, n100, n010, n110, n001, n101, n011, n111 = corners
+    a = values[n000]
+    c00 = a + wi * (values[n100] - a)
+    a = values[n010]
+    c10 = a + wi * (values[n110] - a)
+    a = values[n001]
+    c01 = a + wi * (values[n101] - a)
+    a = values[n011]
+    c11 = a + wi * (values[n111] - a)
+    c0 = c00 + wj * (c10 - c00)
+    c1 = c01 + wj * (c11 - c01)
+    return c0 + wk * (c1 - c0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,22 +269,43 @@ class GridField(OffsetField):
     """Trilinear interpolation over an offset grid.
 
     Time and latitude queries must stay inside the axis ranges; longitude
-    wraps across the 2*pi seam.
+    wraps across the 2*pi seam.  Values are read through flat memoryviews
+    of the grid's own arrays, which is much cheaper than indexing numpy
+    element by element and adds no copy.
     """
 
     grid: OffsetGrid3D
+    _flat: tuple[memoryview, memoryview] = dataclass_field(init=False, repr=False)
+
+    def __post_init__(self):
+        grid = self.grid
+        flat = (memoryview(grid.delta_T.reshape(-1)), memoryview(grid.delta_p.reshape(-1)))
+        object.__setattr__(self, "_flat", flat)
+
+    def __reduce__(self):
+        # Memoryviews do not pickle; the grid alone rebuilds the field.
+        return type(self), (self.grid,)
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
         if not math.isfinite(t):
             raise OutOfDomain(f"time must be finite, got {t!r}")
+        if not math.isfinite(lon):
+            raise OutOfDomain(f"longitude must be finite, got {lon!r}")
         if not math.isfinite(lat):
             raise OutOfDomain(f"latitude must be finite, got {lat!r}")
-        bt = _bracket(self.grid.t_axis, t, "time")
-        bl = _bracket_periodic(self.grid.lon_axis, lon)
-        bk = _bracket(self.grid.lat_axis, lat, "latitude")
+        grid = self.grid
+        i0, i1, wi = _bracket(grid.t_axis, t, "time")
+        j0, j1, wj = _bracket_periodic(grid.lon_axis, lon)
+        k0, k1, wk = _bracket(grid.lat_axis, lat, "latitude")
+        n_lat = len(grid.lat_axis)
+        row = len(grid.lon_axis) * n_lat
+        r00, r10 = i0 * row + j0 * n_lat, i1 * row + j0 * n_lat
+        r01, r11 = i0 * row + j1 * n_lat, i1 * row + j1 * n_lat
+        corners = (r00 + k0, r10 + k0, r01 + k0, r11 + k0, r00 + k1, r10 + k1, r01 + k1, r11 + k1)
+        dT, dp = self._flat
         return Offsets(
-            delta_T=_trilerp(self.grid.delta_T, bt, bl, bk),
-            delta_p=_trilerp(self.grid.delta_p, bt, bl, bk),
+            delta_T=_trilerp(dT, corners, wi, wj, wk),
+            delta_p=_trilerp(dp, corners, wi, wj, wk),
         )
 
 
@@ -315,6 +355,8 @@ def load_grid(source: str) -> OffsetGrid3D:
             order (probably authored with a reversed axis convention).
         IncompleteGrid: a missing (t, lon, lat) combination.
     """
+    import numpy as np
+
     rows = _parse_rows(source, GRID_HEADER)
     for t, lon_deg, lat_deg, _, _ in rows:
         if not 0.0 <= lon_deg < 360.0:
@@ -414,6 +456,8 @@ def grid_from_observations(
         EmptyNode: some node received no observation.
         Identification errors propagate for the offending record.
     """
+    import numpy as np
+
     t_axis = tuple(float(v) for v in t_axis)
     lon_axis = tuple(float(v) for v in lon_axis)
     lat_axis = tuple(float(v) for v in lat_axis)

@@ -96,14 +96,12 @@ def _geopotential_below(Hp: float, Hp_msl: float, T_isa_msl: float, delta_T: flo
 
 
 @lru_cache(maxsize=4096)
-def anchors(offsets: Offsets) -> AtmosphereAnchors:
-    """Compute (and cache) the boundary values of one column.
+def _column_anchors(offsets: Offsets) -> AtmosphereAnchors:
+    """Anchors of an offset pair already validated by the caller.
 
-    Trajectory integrators call the point operations millions of times per
-    flight, so the power/log evaluations hiding in the anchor values are
-    done once per offset pair.
+    The cache behind ``anchors``; a caller that owns other bounds (such as
+    ``QuasiStaticModel.bounds``) validates against them and comes here.
     """
-    validate_offsets(offsets)
     delta_T = offsets.delta_T
     p_msl = P0 + offsets.delta_p
     Hp_msl = T0 / BETA_T_BELOW * ((p_msl / P0) ** (1.0 / GBR) - 1.0)
@@ -122,6 +120,21 @@ def anchors(offsets: Offsets) -> AtmosphereAnchors:
         T_isa_trop=T_ISA_TROP,
         T_trop=T_ISA_TROP + delta_T,
     )
+
+
+def anchors(offsets: Offsets) -> AtmosphereAnchors:
+    """Compute (and cache) the boundary values of one column.
+
+    The pair is checked against the default offset bounds.  Trajectory
+    integrators call the point operations millions of times per flight,
+    so the power/log evaluations hiding in the anchor values are done
+    once per offset pair.
+    """
+    return _column_anchors(validate_offsets(offsets))
+
+
+anchors.cache_info = _column_anchors.cache_info
+anchors.cache_clear = _column_anchors.cache_clear
 
 
 def _as_anchors(column: ColumnSpec) -> AtmosphereAnchors:
@@ -273,7 +286,15 @@ def vertical_gradients(H: float, column: ColumnSpec) -> VerticalGradients:
     density gradient differentiates the perfect-gas law.  Exactly at the
     tropopause the troposphere-side values are returned.
     """
-    st = state_at_geopotential(H, column)
+    return gradients_of_state(state_at_geopotential(H, column))
+
+
+def gradients_of_state(st: AtmosphericState) -> VerticalGradients:
+    """Vertical gradients of a state already solved by ``state_at_geopotential``.
+
+    Closed form in the state's own values, so a caller holding the state
+    pays no second column solve.
+    """
     beta = BETA_T_BELOW if st.Hp <= HP_TROP else BETA_T_ABOVE
     dp_dH = -st.rho * G0
     dT_dH = beta * st.T_isa / st.T

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import insa
 from insa import Offsets, anchors, geopotential_from_hp, pressure_from_hp
 from insa.cli import main
 
@@ -70,6 +76,17 @@ class TestProps:
         )
         assert result.exit_code == 0
         assert "T     = 298.15 K" in result.output
+
+    def test_grid_nan_longitude_exit_code(self, runner, tmp_path):
+        grid_file = tmp_path / "grid.csv"
+        grid_file.write_text(GRID_TEXT)
+        result = runner.invoke(
+            main,
+            ["props", "--hp", "0", "--grid", str(grid_file),
+             "--time", "1800", "--lon", "nan", "--lat", "45"],
+        )
+        assert result.exit_code == 3
+        assert "longitude must be finite" in result.output
 
     def test_exactly_one_altitude_required(self, runner):
         assert runner.invoke(main, ["props", "--dt", "0"]).exit_code == 2
@@ -241,3 +258,13 @@ class TestGridValidate:
         result = runner.invoke(main, ["grid-validate", str(grid_file)])
         assert result.exit_code == 5
         assert "missing node" in result.stderr
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(insa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, insa.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

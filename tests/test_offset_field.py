@@ -1,4 +1,6 @@
 import math
+import pickle
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 from insa import (
     ConstantField,
     EmptyNode,
+    NonPhysical,
     GridField,
     IncompleteGrid,
     NonMonotonicAxis,
@@ -114,6 +117,18 @@ class TestWaypointField:
         with pytest.raises(ValueError):
             WaypointField((self.points[0], self.points[0]))
 
+    def test_time_axis_kept_from_construction(self):
+        points = tuple(wp(10.0 * i, Offsets(float(i % 7), 10.0 * i)) for i in range(1000))
+        field = WaypointField(points)
+        assert field._times == tuple(w.t for w in points)
+        assert "_times" not in repr(field)
+        assert field == WaypointField(list(points))
+        for i in range(0, 999, 37):
+            got = field.evaluate(10.0 * i + 2.5, 0.0, 0.0)
+            a, b = points[i].offsets, points[i + 1].offsets
+            assert got.delta_T == a.delta_T + 0.25 * (b.delta_T - a.delta_T)
+            assert got.delta_p == a.delta_p + 0.25 * (b.delta_p - a.delta_p)
+
 
 def make_grid(n_t=3, n_lon=4, n_lat=3, fill=None):
     t_axis = tuple(3600.0 * i for i in range(n_t))
@@ -195,6 +210,16 @@ class TestGridField:
         with pytest.raises(OutOfDomain):
             field.evaluate(math.nan, 0.0, 0.0)
 
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_longitude_out_of_domain(self, lon):
+        with pytest.raises(OutOfDomain):
+            GridField(make_grid()).evaluate(0.0, lon, 0.0)
+
+    def test_pickles(self):
+        field = GridField(make_grid())
+        clone = pickle.loads(pickle.dumps(field))
+        assert clone.evaluate(1000.0, 2.0, 0.3) == field.evaluate(1000.0, 2.0, 0.3)
+
     def test_axes_validated(self):
         with pytest.raises(NonMonotonicAxis):
             OffsetGrid3D(
@@ -212,6 +237,148 @@ class TestGridField:
                 delta_T=np.full((2, 2, 2), 77.0),
                 delta_p=np.zeros((2, 2, 2)),
             )
+
+    @staticmethod
+    def small_grid(delta_T, delta_p):
+        return OffsetGrid3D(
+            t_axis=(0.0, 1.0), lon_axis=(0.0, 1.0), lat_axis=(0.0, 0.5),
+            delta_T=delta_T, delta_p=delta_p,
+        )
+
+    def test_first_bad_node_in_c_order_is_reported(self):
+        dT, dp = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+        dT[1, 0, 0] = -88.0
+        dT[0, 1, 1] = 77.0
+        with pytest.raises(OutOfValidityRange, match=r"^delta_T=77\.0 K outside"):
+            self.small_grid(dT, dp)
+        # Fortran order storage does not change which node comes first.
+        with pytest.raises(OutOfValidityRange, match=r"^delta_T=77\.0 K outside"):
+            self.small_grid(np.asfortranarray(dT), dp)
+
+    def test_first_bad_node_decides_the_error_type(self):
+        dT, dp = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+        dp[0, 0, 1] = -2e5
+        dT[1, 1, 1] = math.nan
+        with pytest.raises(NonPhysical, match="delta_p=-200000.0 Pa"):
+            self.small_grid(dT, dp)
+        dp[0, 0, 1] = 20000.0
+        with pytest.raises(OutOfValidityRange, match=r"^delta_p=20000\.0 Pa outside"):
+            self.small_grid(dT, dp)
+        dp[0, 0, 1] = 0.0
+        with pytest.raises(OutOfValidityRange, match="must be finite"):
+            self.small_grid(dT, dp)
+
+
+def reference_evaluate(t_axis, lon_axis, lat_axis, dT, dp, t, lon, lat):
+    """Nested lerps over numpy element indexing, brackets found on their own."""
+
+    def bracket(axis, x):
+        if x == axis[-1]:
+            return len(axis) - 1, len(axis) - 1, 0.0
+        i = bisect_right(axis, x) - 1
+        if x == axis[i]:
+            return i, i, 0.0
+        return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+    def bracket_lon(axis, lon):
+        x = lon % TWO_PI
+        i = bisect_right(axis, x) - 1
+        if i >= 0 and x == axis[i]:
+            return i, i, 0.0
+        if i < 0 or i == len(axis) - 1:
+            gap = axis[0] + TWO_PI - axis[-1]
+            position = x - axis[-1] if i == len(axis) - 1 else x + TWO_PI - axis[-1]
+            return len(axis) - 1, 0, position / gap
+        return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+    (i0, i1, wi), (j0, j1, wj), (k0, k1, wk) = (
+        bracket(t_axis, t), bracket_lon(lon_axis, lon), bracket(lat_axis, lat)
+    )
+
+    def lerp(a, b, w):
+        return a + w * (b - a)
+
+    def blend(v):
+        def along_lon(k):
+            c0 = lerp(v[i0, j0, k], v[i1, j0, k], wi)
+            return lerp(c0, lerp(v[i0, j1, k], v[i1, j1, k], wi), wj)
+
+        return float(lerp(along_lon(k0), along_lon(k1), wk))
+
+    return Offsets(blend(dT), blend(dp))
+
+
+def _layouts():
+    """(name, maker) pairs: the same (t, lon, lat) values in three storages."""
+    return [
+        ("c", lambda a: a),
+        ("fortran", np.asfortranarray),
+        ("transposed", lambda a: np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)),
+        ("strided", lambda a: np.repeat(a, 2, axis=2)[:, :, ::2]),
+    ]
+
+
+class TestGridKernel:
+    """GridField.evaluate against a nested-lerp reference, bit for bit."""
+
+    shape = (5, 9, 6)
+
+    def values(self):
+        rng = np.random.default_rng(59)
+        return rng.uniform(-40.0, 40.0, self.shape), rng.uniform(-9000.0, 9000.0, self.shape)
+
+    def axes(self):
+        n_t, n_lon, n_lat = self.shape
+        lon = np.sort(np.random.default_rng(61).uniform(0.0, TWO_PI, n_lon))
+        return (
+            tuple(600.0 * i for i in range(n_t)),
+            tuple(float(v) for v in lon),
+            tuple(float(v) for v in np.linspace(-1.3, 1.4, n_lat)),
+        )
+
+    def queries(self, t_axis, lon_axis, lat_axis):
+        rng = np.random.default_rng(67)
+        out = [
+            (float(t), float(lon), float(lat))
+            for t, lon, lat in zip(
+                rng.uniform(t_axis[0], t_axis[-1], 2000),
+                rng.uniform(-TWO_PI, 2.0 * TWO_PI, 2000),
+                rng.uniform(lat_axis[0], lat_axis[-1], 2000),
+            )
+        ]
+        out += [(t, lon, lat) for t in t_axis for lon in lon_axis for lat in lat_axis]
+        seam = (0.0, -0.0, 1e-300, -1e-12, math.nextafter(TWO_PI, 0.0), lon_axis[0], lon_axis[-1],
+                lon_axis[-1] + 1e-9, 0.5 * (lon_axis[-1] + TWO_PI), TWO_PI, -TWO_PI)
+        out += [(t_axis[-1], lon, lat) for lon in seam for lat in (lat_axis[0], 0.1, lat_axis[-1])]
+        last = (t_axis[-1], math.nextafter(t_axis[-1], 0.0))
+        out += [(t, lon, 0.2) for t in last for lon in seam]
+        return out
+
+    @pytest.mark.parametrize("layout", [name for name, _ in _layouts()])
+    def test_bit_identical_to_reference(self, layout):
+        make = dict(_layouts())[layout]
+        dT, dp = self.values()
+        sT, sp = make(dT), make(dp)
+        assert np.array_equal(sT, dT) and np.array_equal(sp, dp)
+        assert (layout == "c") == sT.flags.c_contiguous
+        t_axis, lon_axis, lat_axis = self.axes()
+        grid = OffsetGrid3D(t_axis, lon_axis, lat_axis, sT, sp)
+        assert grid.delta_T.flags.c_contiguous and grid.delta_p.flags.c_contiguous
+        field = GridField(grid)
+        for t, lon, lat in self.queries(t_axis, lon_axis, lat_axis):
+            got = field.evaluate(t, lon, lat)
+            want = reference_evaluate(t_axis, lon_axis, lat_axis, sT, sp, t, lon, lat)
+            assert (got.delta_T, got.delta_p) == (want.delta_T, want.delta_p), (t, lon, lat)
+            assert type(got.delta_T) is float and type(got.delta_p) is float
+
+    def test_reads_the_grids_own_storage(self):
+        dT, dp = self.values()
+        grid = OffsetGrid3D(*self.axes(), dT, dp)
+        assert grid.delta_T is dT and grid.delta_p is dp  # C-contiguous input: no copy
+        field = GridField(grid)
+        t, lon, lat = grid.t_axis[2], grid.lon_axis[3], grid.lat_axis[4]
+        grid.delta_T[2, 3, 4] = 12.5
+        assert field.evaluate(t, lon, lat).delta_T == 12.5
 
 
 def grid_file(rows, header="t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"):
