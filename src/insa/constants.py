@@ -25,6 +25,8 @@ BETA_T_ABOVE = 0.0      # temperature gradient above the tropopause [K/m]
 # Exponent of the troposphere pressure law, g0 / (-betaT * R).
 GBR = G0 / (-BETA_T_BELOW * R_AIR)
 
+T_ISA_TROP = T0 + BETA_T_BELOW * HP_TROP  # standard tropopause temperature [K]
+
 # Pressure-altitude band the model accepts.  The two-layer column is not
 # meant to be used above 20 km, where the real atmosphere changes gradient.
 HP_MIN = -2000.0  # [m]
@@ -96,11 +98,12 @@ def validate_offsets(offsets: Offsets, bounds: OffsetBounds | None = None) -> Of
 
     Returns the pair unchanged when it is finite, lies within ``bounds``
     (the package default when omitted), and keeps the mean sea level
-    pressure positive.
+    pressure and the tropopause temperature positive.
 
     Raises:
         NonPhysical: delta_p <= -p0, i.e. zero or negative pressure at
-            mean sea level.
+            mean sea level, or delta_T <= -T_ISA_TROP, i.e. zero or
+            negative temperature at the tropopause; whatever the bounds.
         OutOfValidityRange: a non-finite component or one outside bounds.
     """
     if bounds is None:
@@ -111,6 +114,11 @@ def validate_offsets(offsets: Offsets, bounds: OffsetBounds | None = None) -> Of
         raise NonPhysical(
             f"delta_p={offsets.delta_p} Pa implies a mean sea level pressure"
             f" of {P0 + offsets.delta_p} Pa; it must stay above zero"
+        )
+    if offsets.delta_T <= -T_ISA_TROP:
+        raise NonPhysical(
+            f"delta_T={offsets.delta_T} K implies a tropopause temperature"
+            f" of {T_ISA_TROP + offsets.delta_T} K; it must stay above zero"
         )
     if not bounds.delta_T_min <= offsets.delta_T <= bounds.delta_T_max:
         raise OutOfValidityRange(

@@ -14,7 +14,7 @@ class NonPhysical(AtmosphereError):
 
 
 class NoConvergence(AtmosphereError):
-    """An iterative solver exhausted its iteration budget."""
+    """A solve failed: budget exhausted, or its result left the domain or layer."""
 
 
 class NotInTroposphere(AtmosphereError):

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .constants import DEFAULT_OFFSET_BOUNDS, P0, Offsets, validate_offsets
+from .constants import DEFAULT_OFFSET_BOUNDS, P0, T_ISA_TROP, Offsets, validate_offsets
 from .errors import (
     AtmosphereError,
     EmptyNode,
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # numpy is imported where grids are built, not with the packa
 GRID_HEADER = "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"
 OBSERVATION_HEADER = "t_s,lon_deg,lat_deg,h_m,p_pa,t_k"
 
-_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NUMBER = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 
 
 class OffsetField:
@@ -199,7 +199,7 @@ class OffsetGrid3D:
         b = DEFAULT_OFFSET_BOUNDS
         with np.errstate(invalid="ignore"):
             valid = (
-                np.isfinite(dT) & np.isfinite(dp) & (dp > -P0)
+                np.isfinite(dT) & np.isfinite(dp) & (dp > -P0) & (dT > -T_ISA_TROP)
                 & (dT >= b.delta_T_min) & (dT <= b.delta_T_max)
                 & (dp >= b.delta_p_min) & (dp <= b.delta_p_max)
             )

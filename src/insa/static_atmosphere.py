@@ -11,6 +11,12 @@ Pressure and standard temperature depend on Hp only and are therefore
 shared by every offset pair.  Temperature adds the offset delta_T on top
 of the standard profile, and the Hp <-> H mapping shifts and tilts with
 both offsets through the mean sea level anchor values.
+
+The troposphere H -> Hp inverse and the walk from an observed point down
+to mean sea level are one equation, u + a*ln(u) = c in a temperature
+ratio u, solved by ``solvers.newton``.  Whatever depends on the offsets
+alone, the validity band's geopotential span included, lives in the
+cached anchors.
 """
 
 from __future__ import annotations
@@ -31,15 +37,16 @@ from .constants import (
     P0,
     R_AIR,
     T0,
+    T_ISA_TROP,
     AtmosphericState,
     Offsets,
     check_pressure_altitude,
     validate_offsets,
 )
-from .errors import OutOfValidityRange
+from .errors import NoConvergence, OutOfValidityRange
 from .solvers import newton
 
-# Step tolerances of the two Newton solvers below.
+# Step tolerances of the two solves; also the most a result may move onto an edge.
 HP_INVERSION_TOL = 1e-9   # [m]
 TISA_MSL_TOL = 1e-9       # [K]
 
@@ -48,9 +55,8 @@ def _pressure_below(Hp: float) -> float:
     return P0 * (1.0 + BETA_T_BELOW / T0 * Hp) ** GBR
 
 
-# Tropopause values in standard conditions; independent of the offsets.
-T_ISA_TROP = T0 + BETA_T_BELOW * HP_TROP  # [K]
-P_TROP = _pressure_below(HP_TROP)         # [Pa]
+# Tropopause pressure in standard conditions; independent of the offsets.
+P_TROP = _pressure_below(HP_TROP)  # [Pa]
 
 
 def _pressure_above(Hp: float) -> float:
@@ -82,6 +88,8 @@ class AtmosphereAnchors:
     p_trop: float       # tropopause pressure [Pa]
     T_isa_trop: float   # tropopause standard temperature [K]
     T_trop: float       # tropopause temperature [K]
+    H_min: float        # geopotential altitude at Hp = HP_MIN [m]
+    H_max: float        # geopotential altitude at Hp = HP_MAX [m]
 
 
 ColumnSpec = Union[Offsets, AtmosphereAnchors]
@@ -106,6 +114,7 @@ def _column_anchors(offsets: Offsets) -> AtmosphereAnchors:
     p_msl = P0 + offsets.delta_p
     Hp_msl = T0 / BETA_T_BELOW * ((p_msl / P0) ** (1.0 / GBR) - 1.0)
     T_isa_msl = T0 + BETA_T_BELOW * Hp_msl
+    H_trop = _geopotential_below(HP_TROP, Hp_msl, T_isa_msl, delta_T)
     return AtmosphereAnchors(
         offsets=offsets,
         Hp_msl=Hp_msl,
@@ -115,10 +124,12 @@ def _column_anchors(offsets: Offsets) -> AtmosphereAnchors:
         H_hp0=_geopotential_below(0.0, Hp_msl, T_isa_msl, delta_T),
         T_hp0=T0 + delta_T,
         Hp_trop=HP_TROP,
-        H_trop=_geopotential_below(HP_TROP, Hp_msl, T_isa_msl, delta_T),
+        H_trop=H_trop,
         p_trop=P_TROP,
         T_isa_trop=T_ISA_TROP,
         T_trop=T_ISA_TROP + delta_T,
+        H_min=_geopotential_below(HP_MIN, Hp_msl, T_isa_msl, delta_T),
+        H_max=H_trop + (T_ISA_TROP + delta_T) / T_ISA_TROP * (HP_MAX - HP_TROP),
     )
 
 
@@ -194,49 +205,51 @@ def geopotential_from_hp(Hp: float, column: ColumnSpec) -> float:
     return a.H_trop + a.T_trop / a.T_isa_trop * (Hp - HP_TROP)
 
 
-def _geopotential_span(a: AtmosphereAnchors) -> tuple[float, float]:
-    low = _geopotential_below(HP_MIN, a.Hp_msl, a.T_isa_msl, a.offsets.delta_T)
-    high = a.H_trop + a.T_trop / a.T_isa_trop * (HP_MAX - HP_TROP)
-    return low, high
-
-
 def hp_from_geopotential(H: float, column: ColumnSpec, *, max_iter: int = 50) -> float:
     """Pressure altitude Hp at geopotential altitude H for one column.
 
-    The stratosphere branch inverts in closed form.  The troposphere
-    branch has no closed form and is solved with Newton iteration using
-    the exact slope dH/dHp = T/T_isa; the starting guess H + Hp_msl is
-    already exact when delta_T is zero.
+    The stratosphere inverts in closed form; the troposphere, with
+    u = T_isa(Hp)/T_isa_msl, solves u + a*ln(u) = c for a = delta_T/T_isa_msl
+    and c = 1 + betaT*H/T_isa_msl, a shift H + Hp_msl at delta_T = 0.
 
     Raises:
         OutOfValidityRange: H outside the image of the validity band.
-        NoConvergence: iteration budget exhausted (never expected in range).
+        NoConvergence: iteration budget exhausted (never expected in range),
+            or a result past its layer or the validity band by more than
+            HP_INVERSION_TOL; a smaller overshoot is moved onto the edge.
     """
     a = _as_anchors(column)
-    low, high = _geopotential_span(a)
-    if not low <= H <= high:
+    if not a.H_min <= H <= a.H_max:
         raise OutOfValidityRange(
-            f"geopotential altitude {H!r} m outside [{low}, {high}] m"
+            f"geopotential altitude {H!r} m outside [{a.H_min}, {a.H_max}] m"
             f" for offsets {a.offsets}"
         )
-    if H > a.H_trop:
-        return HP_TROP + a.T_isa_trop / a.T_trop * (H - a.H_trop)
-
     delta_T = a.offsets.delta_T
+    if H > a.H_trop:
+        Hp, low, high = HP_TROP + a.T_isa_trop / a.T_trop * (H - a.H_trop), HP_TROP, HP_MAX
+    elif delta_T == 0.0:
+        Hp, low, high = H + a.Hp_msl, HP_MIN, HP_TROP
+    else:
+        t = a.T_isa_msl
+        tol = HP_INVERSION_TOL * -BETA_T_BELOW / t
+        u, _ = newton(delta_T / t, 1.0 + BETA_T_BELOW * H / t, tol=tol, max_iter=max_iter)
+        Hp, low, high = a.Hp_msl + t / BETA_T_BELOW * (u - 1.0), HP_MIN, HP_TROP
+    if low <= Hp <= high:
+        return Hp
+    inside = min(max(Hp, low), high)
+    if abs(inside - Hp) > HP_INVERSION_TOL:
+        raise NoConvergence(f"inversion landed at Hp={Hp!r} m, outside [{low}, {high}] m")
+    return inside
 
-    def f(Hp: float) -> float:
-        if T0 + BETA_T_BELOW * Hp <= 0.0:
-            return math.inf  # far outside the column; forces NoConvergence
-        return _geopotential_below(Hp, a.Hp_msl, a.T_isa_msl, delta_T) - H
 
-    def fprime(Hp: float) -> float:
-        t_isa = T0 + BETA_T_BELOW * Hp
-        return (t_isa + delta_T) / t_isa
-
-    root, _ = newton(f, fprime, H + a.Hp_msl, tol=HP_INVERSION_TOL, max_iter=max_iter)
-    # The troposphere branch owns Hp <= Hp_trop; the iteration can land a
-    # tolerance-width above it when H sits exactly at the tropopause.
-    return min(root, HP_TROP)
+def _state(Hp: float, H: float, delta_T: float) -> AtmosphericState:
+    # Hp is already known to lie in the validity band.
+    if Hp <= HP_TROP:
+        T_isa, p = T0 + BETA_T_BELOW * Hp, _pressure_below(Hp)
+    else:
+        T_isa, p = T_ISA_TROP, _pressure_above(Hp)
+    T = T_isa + delta_T
+    return AtmosphericState(Hp=Hp, H=H, p=p, T=T, T_isa=T_isa, rho=p / (R_AIR * T))
 
 
 def state_at_geopotential(H: float, column: ColumnSpec) -> AtmosphericState:
@@ -247,23 +260,13 @@ def state_at_geopotential(H: float, column: ColumnSpec) -> AtmosphericState:
     returned state satisfies p = rho*R*T by construction.
     """
     a = _as_anchors(column)
-    Hp = hp_from_geopotential(H, a)
-    # The inversion can land a tolerance-width outside the closed band.
-    Hp = min(max(Hp, HP_MIN), HP_MAX)
-    p = pressure_from_hp(Hp)
-    T_isa = standard_temperature_from_hp(Hp)
-    T = T_isa + a.offsets.delta_T
-    return AtmosphericState(Hp=Hp, H=H, p=p, T=T, T_isa=T_isa, rho=p / (R_AIR * T))
+    return _state(hp_from_geopotential(H, a), H, a.offsets.delta_T)
 
 
 def state_at_pressure_altitude(Hp: float, column: ColumnSpec) -> AtmosphericState:
     """Full atmospheric state at pressure altitude Hp for one column."""
     a = _as_anchors(column)
-    H = geopotential_from_hp(Hp, a)
-    p = pressure_from_hp(Hp)
-    T_isa = standard_temperature_from_hp(Hp)
-    T = T_isa + a.offsets.delta_T
-    return AtmosphericState(Hp=Hp, H=H, p=p, T=T, T_isa=T_isa, rho=p / (R_AIR * T))
+    return _state(Hp, geopotential_from_hp(Hp, a), a.offsets.delta_T)
 
 
 def d_geopotential_d_hp(Hp: float, column: ColumnSpec) -> float:
@@ -309,19 +312,11 @@ def solve_tisa_msl(T_isa: float, H: float, delta_T: float, *, max_iter: int = 50
     altitude ``H`` in a column with temperature offset ``delta_T``,
     returns the standard temperature that same column has at mean sea
     level.  With delta_T = 0 the relationship is linear and solved
-    directly; otherwise Newton iteration starts from that linear solution.
+    directly; otherwise w = T_isa_msl/T_isa solves w + a*ln(w) = c for
+    a = delta_T/T_isa and c = 1 - betaT*H/T_isa.
     """
-    x0 = T_isa - BETA_T_BELOW * H
     if delta_T == 0.0:
-        return x0
-
-    def g(x: float) -> float:
-        if x <= 0.0:
-            return math.inf
-        return (T_isa - x + delta_T * math.log(T_isa / x)) / BETA_T_BELOW - H
-
-    def gprime(x: float) -> float:
-        return (-1.0 - delta_T / x) / BETA_T_BELOW
-
-    root, _ = newton(g, gprime, x0, tol=TISA_MSL_TOL, max_iter=max_iter)
-    return root
+        return T_isa - BETA_T_BELOW * H
+    c = 1.0 - BETA_T_BELOW * H / T_isa
+    w, _ = newton(delta_T / T_isa, c, tol=TISA_MSL_TOL / T_isa, max_iter=max_iter)
+    return w * T_isa

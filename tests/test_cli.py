@@ -174,6 +174,17 @@ class TestIdentify:
         result = runner.invoke(main, ["identify", "--obs", str(obs_file)])
         assert result.exit_code == 5
 
+    def test_non_ascii_digits_exit_code(self, runner, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(
+            "t_s,lon_deg,lat_deg,h_m,p_pa,t_k\n\u0660,\u0661\u0660,\u0664\u0660,"
+            "\u0661\u0660\u0660,\u0661\u0660\u0660\u0660\u0660\u0660,\u0662\u0668\u0660\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["identify", "--obs", str(obs_file)])
+        assert result.exit_code == 5
+        assert "not a plain decimal number" in result.stderr
+
 
 class TestConvert:
     def test_msl_maps_to_hp_msl(self, runner):

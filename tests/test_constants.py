@@ -58,6 +58,16 @@ class TestValidateOffsets:
         with pytest.raises(NonPhysical):
             validate_offsets(Offsets(0.0, -200000.0))
 
+    @pytest.mark.parametrize("delta_T", [-216.65, -250.0])
+    def test_tropopause_temperature_must_stay_positive(self, delta_T):
+        # Wide enough bounds that only the physics can reject the pair.
+        wide = OffsetBounds(-300.0, 300.0, -15000.0, 15000.0)
+        with pytest.raises(NonPhysical, match="tropopause temperature"):
+            validate_offsets(Offsets(delta_T, 0.0), wide)
+        with pytest.raises(NonPhysical):
+            validate_offsets(Offsets(delta_T, 0.0))
+        assert validate_offsets(Offsets(-216.6, 0.0), wide).delta_T == -216.6
+
     def test_bounds_violation_names_component(self):
         with pytest.raises(OutOfValidityRange, match="delta_T"):
             validate_offsets(Offsets(60.0, 0.0))

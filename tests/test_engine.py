@@ -9,6 +9,7 @@ from insa import (
     ConstantField,
     GeodeticPosition,
     GridField,
+    NonPhysical,
     OffsetBounds,
     OffsetField,
     OffsetGrid3D,
@@ -298,7 +299,24 @@ class WarmField(OffsetField):
         return Offsets(60.0, 0.0)
 
 
+class ColdField(OffsetField):
+    def __init__(self, delta_T):
+        self.delta_T = delta_T
+
+    def evaluate(self, t, lon, lat):
+        return Offsets(self.delta_T, 0.0)
+
+
 class TestModelBounds:
+    @pytest.mark.parametrize("delta_T", [-216.65, -250.0])
+    def test_column_reaching_zero_kelvin_is_non_physical(self, delta_T):
+        wide = OffsetBounds(-300.0, 300.0, -15000.0, 15000.0)
+        model = QuasiStaticModel(field=ColdField(delta_T), bounds=wide)
+        with pytest.raises(NonPhysical, match="tropopause temperature"):
+            model.query(0.0, MSL)
+        with pytest.raises(NonPhysical):
+            model.property_rates(0.0, MSL, 1.0)
+
     def test_wider_bounds_honoured(self):
         wide = OffsetBounds(-80.0, 80.0, -15000.0, 15000.0)
         model = QuasiStaticModel(field=WarmField(), bounds=wide)

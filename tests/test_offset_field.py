@@ -46,6 +46,11 @@ class TestConstantField:
         with pytest.raises(OutOfValidityRange):
             ConstantField(Offsets(99.0, 0.0))
 
+    @pytest.mark.parametrize("delta_T", [-216.65, -250.0])
+    def test_column_reaching_zero_kelvin_is_non_physical(self, delta_T):
+        with pytest.raises(NonPhysical, match="tropopause temperature"):
+            ConstantField(Offsets(delta_T, 0.0))
+
 
 class TestRouteLinearField:
     def setup_method(self):
@@ -268,6 +273,13 @@ class TestGridField:
         with pytest.raises(OutOfValidityRange, match="must be finite"):
             self.small_grid(dT, dp)
 
+    def test_node_reaching_zero_kelvin_is_non_physical(self):
+        dT, dp = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+        dT[0, 0, 1] = -250.0
+        dT[1, 1, 1] = 77.0
+        with pytest.raises(NonPhysical, match="tropopause temperature"):
+            self.small_grid(dT, dp)
+
 
 def reference_evaluate(t_axis, lon_axis, lat_axis, dT, dp, t, lon, lat):
     """Nested lerps over numpy element indexing, brackets found on their own."""
@@ -385,6 +397,16 @@ def grid_file(rows, header="t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"):
     return "\n".join([header, *rows]) + "\n"
 
 
+# Unicode digits, given by their zero, that float() reads but the file formats exclude.
+NON_ASCII_DIGITS = pytest.mark.parametrize(
+    "zero", [0x0660, 0xFF10], ids=["arabic_indic", "fullwidth"]
+)
+
+
+def non_ascii(text, zero):
+    return text.translate({ord("0") + d: zero + d for d in range(10)})
+
+
 MINIMAL_ROWS = [
     f"{t},{lon},{lat},{5.0 + t / 3600.0},{100.0 * lon}"
     for t in (0.0, 3600.0)
@@ -440,6 +462,12 @@ class TestLoadGrid:
         with pytest.raises(ParseError):
             load_grid("")
 
+    @NON_ASCII_DIGITS
+    def test_non_ascii_digits_rejected(self, zero):
+        row = non_ascii("0.0,10.0,40.0,5.0,250.0", zero)
+        with pytest.raises(ParseError, match="not a plain decimal number"):
+            load_grid(grid_file([row]))
+
     def test_coordinate_ranges(self):
         with pytest.raises(ParseError):
             load_grid(grid_file(["0.0,370.0,40.0,0.0,0.0"]))
@@ -457,6 +485,12 @@ class TestLoadObservations:
         assert len(loaded) == 2
         assert loaded[0].p == 101325.0
         assert loaded[1].lon == pytest.approx(math.radians(20.0))
+
+    @NON_ASCII_DIGITS
+    def test_non_ascii_digits_rejected(self, zero):
+        row = non_ascii("0,10,40,100,100000,280", zero)
+        with pytest.raises(ParseError, match="not a plain decimal number"):
+            load_observations(grid_file([row], header="t_s,lon_deg,lat_deg,h_m,p_pa,t_k"))
 
     def test_bad_measurement_becomes_parse_error(self):
         text = grid_file(

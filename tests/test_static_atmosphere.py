@@ -1,18 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from insa import (
     NoConvergence,
+    NotInTroposphere,
+    Observation,
     Offsets,
     OutOfValidityRange,
     anchors,
     d_geopotential_d_hp,
     geopotential_from_hp,
+    geopotential_to_geodetic,
     hp_from_geopotential,
     hp_from_pressure,
+    identify_offsets,
     pressure_from_hp,
     solve_tisa_msl,
     standard_temperature_from_hp,
@@ -21,7 +26,18 @@ from insa import (
     temperature_from_hp,
     vertical_gradients,
 )
-from insa.constants import BETA_T_BELOW, HP_TROP, P0, R_AIR, T0
+from insa import solvers, static_atmosphere
+from insa.constants import (
+    BETA_T_BELOW,
+    DEFAULT_OFFSET_BOUNDS as BOX,
+    HP_MAX,
+    HP_MIN,
+    HP_TROP,
+    P0,
+    R_AIR,
+    T0,
+)
+from insa.identification import TROPOPAUSE_MARGIN
 
 ISA = Offsets(0.0, 0.0)
 
@@ -377,6 +393,17 @@ class TestSolveTisaMsl:
             )
 
 
+class TestSolver:
+    def test_exact_start_takes_one_iteration(self):
+        for a in (-0.2, 0.0, 0.2):
+            assert solvers.newton(a, 1.0, tol=1e-14) == (1.0, 1)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_no_root_in_domain_raises(self, c):
+        with pytest.raises(NoConvergence):
+            solvers.newton(0.1, c, tol=1e-14)
+
+
 class TestFigureProperties:
     def test_parallel_lines_for_pure_pressure_offsets(self):
         hps = np.linspace(0.0, 15000.0, 151)
@@ -396,3 +423,100 @@ class TestFigureProperties:
             hp_msl = anchors(Offsets(0.0, dp)).Hp_msl
             for dt in (-20.0, 0.0, 20.0):
                 assert abs(geopotential_from_hp(hp_msl, Offsets(dt, dp))) < 1e-6
+
+
+class TestEdgesNotSilentlyClamped:
+    """A result past its layer or the band is moved back only within tolerance."""
+
+    O = Offsets(15.0, 2000.0)
+
+    @staticmethod
+    def overshooting(monkeypatch, offsets, dHp):
+        """Patch the solver so its root lands dHp away from the true one."""
+        du = dHp * BETA_T_BELOW / anchors(offsets).T_isa_msl
+
+        def newton(a, c, **kwargs):
+            u, n = solvers.newton(a, c, **kwargs)
+            return u + du, n
+
+        monkeypatch.setattr(static_atmosphere, "newton", newton)
+
+    @pytest.mark.parametrize(
+        "edge, expected, sign",
+        [("H_trop", HP_TROP, 1.0), ("H_min", HP_MIN, -1.0)],
+        ids=["tropopause", "band_floor"],
+    )
+    def test_troposphere_overshoot(self, monkeypatch, edge, expected, sign):
+        H = getattr(anchors(self.O), edge)
+        self.overshooting(monkeypatch, self.O, sign * 0.5e-9)
+        assert hp_from_geopotential(H, self.O) == expected
+        assert state_at_geopotential(H, self.O).Hp == expected
+        self.overshooting(monkeypatch, self.O, sign * 1e-6)
+        with pytest.raises(NoConvergence, match="inversion landed"):
+            hp_from_geopotential(H, self.O)
+        with pytest.raises(NoConvergence, match="inversion landed"):
+            state_at_geopotential(H, self.O)
+
+    def test_stratosphere_overshoot(self):
+        # Anchors whose span reaches past Hp = HP_MAX, slightly or by far.
+        a = anchors(self.O)
+        near = dataclasses.replace(a, H_max=a.H_max + 1e-10)
+        assert state_at_geopotential(near.H_max, near).Hp == HP_MAX
+        far = dataclasses.replace(a, H_max=a.H_max + 1e-3)
+        with pytest.raises(NoConvergence, match="inversion landed"):
+            state_at_geopotential(far.H_max, far)
+
+
+OFFSETS_IN_BOX = st.builds(
+    Offsets,
+    st.floats(BOX.delta_T_min, BOX.delta_T_max),
+    st.floats(BOX.delta_p_min, BOX.delta_p_max),
+)
+HP_IN_BAND = st.floats(HP_MIN, HP_MAX)
+HP_IN_TROPOSPHERE = st.floats(HP_MIN, HP_TROP)
+
+
+class TestWholeBox:
+    """The column's invariants over Hp in [-2, 20] km and the default offset bounds."""
+
+    @given(OFFSETS_IN_BOX, HP_IN_BAND)
+    def test_round_trip(self, o, hp):
+        assert abs(hp_from_geopotential(geopotential_from_hp(hp, o), o) - hp) <= 1e-9
+
+    @given(st.floats(BOX.delta_p_min, BOX.delta_p_max), HP_IN_TROPOSPHERE)
+    def test_zero_temperature_offset_is_an_exact_shift(self, dp, hp):
+        o = Offsets(0.0, dp)
+        H = geopotential_from_hp(hp, o)
+        assert hp_from_geopotential(H, o) == min(max(H + anchors(o).Hp_msl, HP_MIN), HP_TROP)
+
+    @given(OFFSETS_IN_BOX, HP_IN_BAND, HP_IN_BAND)
+    def test_geopotential_increases_with_pressure_altitude(self, o, hp1, hp2):
+        low, high = sorted((hp1, hp2))
+        assume(high - low >= 1e-6)
+        assert geopotential_from_hp(low, o) < geopotential_from_hp(high, o)
+
+    @given(OFFSETS_IN_BOX, HP_IN_TROPOSPHERE)
+    def test_at_most_four_iterations(self, o, hp):
+        # max_iter=4 turns a fifth iteration into NoConvergence.
+        H = geopotential_from_hp(hp, o)
+        hp_from_geopotential(H, o, max_iter=4)
+        solve_tisa_msl(standard_temperature_from_hp(hp), H, o.delta_T, max_iter=4)
+
+    @given(OFFSETS_IN_BOX, st.floats(HP_MIN, HP_TROP - TROPOPAUSE_MARGIN))
+    def test_identification_inverts_forward_model(self, o, hp):
+        state = state_at_pressure_altitude(hp, o)
+        h = geopotential_to_geodetic(state.H)
+        try:
+            got = identify_offsets(Observation(t=0.0, lon=0.0, lat=0.0, h=h, p=state.p, T=state.T))
+        except (NotInTroposphere, OutOfValidityRange):
+            # Only a point on a closed edge of the box, whose recovered Hp
+            # or offsets can round past that edge, may be rejected.
+            assert (
+                hp < HP_MIN + 1e-6
+                or hp > HP_TROP - TROPOPAUSE_MARGIN - 1e-6
+                or abs(o.delta_T) > BOX.delta_T_max - 1e-9
+                or abs(o.delta_p) > BOX.delta_p_max - 1e-6
+            )
+            return
+        assert abs(got.delta_T - o.delta_T) < 1e-7
+        assert abs(got.delta_p - o.delta_p) < 1e-6
