@@ -27,6 +27,29 @@ OBS_TEXT = (
     f"60.0,20.0,50.0,300.0,{pressure_from_hp(12000.0)!r},220.0\n"
 )
 
+# One tropospheric row and one above the tropopause, whose message holds a
+# comma, so the csv quoting is pinned as well.
+GOLDEN_OBS_TEXT = (
+    "t_s,lon_deg,lat_deg,h_m,p_pa,t_k\n"
+    "30.0,12.5,47.25,1234.5,87000.0,280.0\n"
+    "60.0,200.0,-50.0,300.0,19330.382508074435,220.0\n"
+)
+_GOLDEN_ERROR = (
+    "pressure 19330.382508074435 Pa puts the station at Hp=11985.1 m,"
+    " at or above the tropopause at 11000 m"
+)
+GOLDEN_IDENTIFY = {
+    "human": (
+        "t=30 s lon=12.5 lat=47.25: delta_T = 0.0865875 K, delta_p = -399.199 Pa\n"
+        f"t=60 s lon=200 lat=-50: error: {_GOLDEN_ERROR}\n"
+    ),
+    "csv": (
+        "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa,error\n"
+        "30.0,12.5,47.25,0.08658751395535091,-399.19919144452433,\n"
+        f'60.0,200.0,-50.0,,,"{_GOLDEN_ERROR}"\n'
+    ),
+}
+
 
 @pytest.fixture()
 def runner():
@@ -164,6 +187,14 @@ class TestIdentify:
         assert result.exit_code == 0
         assert "delta_T = 0 K" in result.output
         assert "error:" in result.output
+
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_batch_output_bytes(self, runner, tmp_path, fmt):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(GOLDEN_OBS_TEXT)
+        result = runner.invoke(main, ["identify", "--obs", str(obs_file), "--format", fmt])
+        assert result.exit_code == 0
+        assert result.stdout == GOLDEN_IDENTIFY[fmt]
 
     def test_incomplete_arguments(self, runner):
         assert runner.invoke(main, ["identify", "--h", "0"]).exit_code == 2

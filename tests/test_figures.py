@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from insa import (
@@ -10,6 +12,19 @@ from insa import (
 
 EXPECTED_IDS = {
     "dTdHp", "dpdHp", "Tisa", "T_dT", "dHdHp_dT", "p", "H_dT", "H_dp", "H_dTdp",
+}
+
+# sha256 of each rendered table; any change to a printed digit shows up here.
+TABLE_SHA256 = {
+    "H_dT": "77d3f1093f574a07f72f2f78394a400c2405f56f49fdd01eb304e39a4ef86f33",
+    "H_dTdp": "a416369fd0c1b1ac9141b2fe8a2bb22e9c005bdc299108e2f8529615bdbfac95",
+    "H_dp": "00d3b660d6e09694eb270b05fb199d4b902f840812d5df333c72913d4822cacd",
+    "T_dT": "f43a5fdbb8a492498530529b9f97bf41f44466132e1757f087064a1ebe413498",
+    "Tisa": "31ccce5a320023b42c421786a995966084e4f40f57a01b39dd8977a0e14b48aa",
+    "dHdHp_dT": "5a7909638d5b55a2028995dfdaea3a3fcb4f45be5149b4c285d85b486376bc13",
+    "dTdHp": "8bb8d599c41d2f92527233f76a53a3f1ae3cd8bb64f972d7f210ddd0af7ad32f",
+    "dpdHp": "9ab842e78af944572e663f7a6f0bd1f76c8d4228ca766aedf84007b348f8cd2e",
+    "p": "b1cb057e97c3c669fe625c8d1d8febb1cb8b8b66f315998267cee37312b9c408",
 }
 
 
@@ -27,6 +42,12 @@ def test_table_shape(figure_id):
     assert all(a < b for a, b in zip(table.abscissa_km, table.abscissa_km[1:]))
     for series in table.series:
         assert len(series.values) == len(table.abscissa_km)
+
+
+@pytest.mark.parametrize("figure_id", sorted(EXPECTED_IDS))
+def test_rendered_table_digest(figure_id):
+    text = render_table(build_figure(figure_id))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TABLE_SHA256[figure_id]
 
 
 def test_series_counts():
