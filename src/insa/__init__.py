@@ -9,12 +9,9 @@ both offsets at zero the model is the ICAO standard atmosphere.
 
 from .constants import (
     DEFAULT_OFFSET_BOUNDS,
-    ISA_OFFSETS,
     AtmosphericState,
-    IsaConstants,
     OffsetBounds,
     Offsets,
-    constants,
     validate_offsets,
 )
 from .engine import PropertyRates, QuasiStaticModel
@@ -48,7 +45,6 @@ from .offset_field import (
     GridField,
     OffsetField,
     OffsetGrid3D,
-    RouteLinearField,
     Waypoint,
     WaypointField,
     grid_from_observations,
@@ -86,10 +82,8 @@ __all__ = [
     "FigureTable",
     "GeodeticPosition",
     "GridField",
-    "ISA_OFFSETS",
     "IdentificationRecord",
     "IncompleteGrid",
-    "IsaConstants",
     "NoConvergence",
     "NonMonotonicAxis",
     "NonPhysical",
@@ -104,13 +98,11 @@ __all__ = [
     "ParseError",
     "PropertyRates",
     "QuasiStaticModel",
-    "RouteLinearField",
     "VerticalGradients",
     "Waypoint",
     "WaypointField",
     "anchors",
     "build_figure",
-    "constants",
     "d_geopotential_d_geodetic",
     "d_geopotential_d_hp",
     "geodetic_to_geopotential",

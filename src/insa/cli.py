@@ -23,6 +23,7 @@ from .errors import (
     IncompleteGrid,
     NonMonotonicAxis,
     NotInTroposphere,
+    OutOfValidityRange,
     ParseError,
 )
 from .figures import FIGURE_IDS, build_figure, render_table
@@ -35,9 +36,6 @@ from .static_atmosphere import (
     state_at_geopotential,
     state_at_pressure_altitude,
 )
-
-_STATE_COLUMNS = ("Hp_m", "H_m", "h_m", "p_pa", "T_k", "T_isa_k", "rho_kgm3")
-
 
 def _exit_code(err: AtmosphereError) -> int:
     if isinstance(err, NotInTroposphere):
@@ -150,28 +148,15 @@ def cmd_identify(h, p, temp, t_s, lon, lat, obs_path, in_km, fmt):
             writer.writerow(("t_s", "lon_deg", "lat_deg", "delta_t_k", "delta_p_pa", "error"))
         for rec in records:
             lon_deg, lat_deg = math.degrees(rec.lon), math.degrees(rec.lat)
-            if rec.offsets is not None:
-                if fmt == "csv":
-                    writer.writerow(
-                        (repr(rec.t), repr(lon_deg), repr(lat_deg),
-                         repr(rec.offsets.delta_T), repr(rec.offsets.delta_p), "")
-                    )
-                else:
-                    click.echo(
-                        f"t={rec.t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}:"
-                        f" delta_T = {rec.offsets.delta_T:.6g} K,"
-                        f" delta_p = {rec.offsets.delta_p:.6g} Pa"
-                    )
+            o = rec.offsets
+            if fmt == "csv":
+                result = ("", "", str(rec.error)) if o is None else (
+                    repr(o.delta_T), repr(o.delta_p), "")
+                writer.writerow((repr(rec.t), repr(lon_deg), repr(lat_deg)) + result)
             else:
-                if fmt == "csv":
-                    writer.writerow(
-                        (repr(rec.t), repr(lon_deg), repr(lat_deg), "", "", str(rec.error))
-                    )
-                else:
-                    click.echo(
-                        f"t={rec.t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}:"
-                        f" error: {rec.error}"
-                    )
+                result = f"error: {rec.error}" if o is None else (
+                    f"delta_T = {o.delta_T:.6g} K, delta_p = {o.delta_p:.6g} Pa")
+                click.echo(f"t={rec.t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}: {result}")
         return
     if h is None or p is None or temp is None:
         raise click.UsageError("give --h, --p, and --t (or --obs FILE)")
@@ -210,6 +195,8 @@ _KINDS = ("h", "H", "Hp")
 @_domain_errors
 def cmd_convert(value, from_kind, to_kind, dt, dp, in_km, fmt):
     """Convert between geodetic, geopotential, and pressure altitude."""
+    if not math.isfinite(value):
+        raise OutOfValidityRange(f"altitude {value!r} must be finite")
     offsets = Offsets(delta_T=dt, delta_p=dp)
     value = _altitude_m(value, in_km)
     if from_kind == "h":

@@ -34,41 +34,6 @@ HP_MAX = 20000.0  # [m]
 
 
 @dataclass(frozen=True)
-class IsaConstants:
-    """The standard-atmosphere constant set plus the derived exponent."""
-
-    g0: float            # standard free-fall acceleration [m/s^2]
-    RE: float            # Earth nominal radius [m]
-    p0: float            # standard mean sea level pressure [Pa]
-    T0: float            # standard mean sea level temperature [K]
-    rho0: float          # standard mean sea level density [kg/m^3]
-    R: float             # specific air constant [m^2/(K s^2)]
-    Hp_trop: float       # tropopause pressure altitude [m]
-    betaT_below: float   # troposphere temperature gradient [K/m]
-    betaT_above: float   # stratosphere temperature gradient [K/m]
-    gbr: float           # derived exponent g0/(-betaT_below*R) [-]
-
-
-_CONSTANTS = IsaConstants(
-    g0=G0,
-    RE=RE,
-    p0=P0,
-    T0=T0,
-    rho0=RHO0,
-    R=R_AIR,
-    Hp_trop=HP_TROP,
-    betaT_below=BETA_T_BELOW,
-    betaT_above=BETA_T_ABOVE,
-    gbr=GBR,
-)
-
-
-def constants() -> IsaConstants:
-    """Return the singleton constant set."""
-    return _CONSTANTS
-
-
-@dataclass(frozen=True)
 class Offsets:
     """Temperature/pressure offset pair identifying one static atmosphere."""
 
@@ -131,9 +96,6 @@ def validate_offsets(offsets: Offsets, bounds: OffsetBounds | None = None) -> Of
             f" [{bounds.delta_p_min}, {bounds.delta_p_max}] Pa"
         )
     return offsets
-
-
-ISA_OFFSETS = Offsets(delta_T=0.0, delta_p=0.0)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .constants import (
     DEFAULT_OFFSET_BOUNDS,
-    IsaConstants,
     Offsets,
     OffsetBounds,
     AtmosphericState,
-    constants,
     validate_offsets,
 )
 from .geodesy import GeodeticPosition, d_geopotential_d_geodetic, geodetic_to_geopotential
@@ -51,7 +49,6 @@ class QuasiStaticModel:
     """
 
     field: OffsetField
-    constants: IsaConstants = dataclass_field(default_factory=constants)
     bounds: OffsetBounds = DEFAULT_OFFSET_BOUNDS
     _last: tuple = dataclass_field(
         default=(None, None), init=False, repr=False, compare=False

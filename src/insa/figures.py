@@ -29,6 +29,7 @@ from .static_atmosphere import (
     geopotential_from_hp,
     pressure_from_hp,
     standard_temperature_from_hp,
+    temperature_from_hp,
 )
 
 HP_KM_STEPS = 151  # 0.0 .. 15.0 km in 0.1 km steps
@@ -111,9 +112,7 @@ def _build_p() -> FigureTable:
 
 def _build_T_dT() -> FigureTable:
     offs = tuple(Offsets(dt, 0.0) for dt in _DT_SERIES)
-    return _per_offsets(
-        "T_dT", offs, lambda hp, o: standard_temperature_from_hp(hp) + o.delta_T
-    )
+    return _per_offsets("T_dT", offs, temperature_from_hp)
 
 
 def _build_dHdHp_dT() -> FigureTable:

@@ -46,21 +46,21 @@ class GeodeticPosition:
 
 def geodetic_to_geopotential(h: float) -> float:
     """Geopotential altitude H for geodetic altitude h, both in metres."""
-    if not h > -RE / 2.0:
-        raise OutOfValidityRange(f"geodetic altitude {h!r} m below -RE/2")
+    if not -RE / 2.0 < h < math.inf:
+        raise OutOfValidityRange(f"geodetic altitude {h!r} m outside (-RE/2, inf)")
     return RE * h / (RE + h)
 
 
 def geopotential_to_geodetic(H: float) -> float:
     """Geodetic altitude h for geopotential altitude H, both in metres."""
-    if not H < RE / 2.0:
-        raise OutOfValidityRange(f"geopotential altitude {H!r} m above RE/2")
+    if not -math.inf < H < RE / 2.0:
+        raise OutOfValidityRange(f"geopotential altitude {H!r} m outside (-inf, RE/2)")
     return RE * H / (RE - H)
 
 
 def d_geopotential_d_geodetic(h: float) -> float:
     """Slope dH/dh of the conversion at geodetic altitude h."""
-    if not h > -RE / 2.0:
-        raise OutOfValidityRange(f"geodetic altitude {h!r} m below -RE/2")
+    if not -RE / 2.0 < h < math.inf:
+        raise OutOfValidityRange(f"geodetic altitude {h!r} m outside (-RE/2, inf)")
     ratio = RE / (RE + h)
     return ratio * ratio

@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .constants import (
     BETA_T_BELOW,
+    DEFAULT_OFFSET_BOUNDS,
     GBR,
     HP_MIN,
     HP_TROP,
@@ -27,7 +28,7 @@ from .constants import (
 )
 from .errors import AtmosphereError, NonPhysical, NotInTroposphere, OutOfValidityRange
 from .geodesy import check_latitude, geodetic_to_geopotential, normalize_longitude
-from .static_atmosphere import solve_tisa_msl
+from .static_atmosphere import TISA_MSL_TOL, _hp_below, _pressure_below, solve_tisa_msl
 
 # Observations this close to the tropopause are rejected rather than
 # extrapolated; the identification pipeline is strictly tropospheric.
@@ -63,13 +64,14 @@ def identify_offsets(obs: Observation) -> Offsets:
         NotInTroposphere: the measured pressure places the station at or
             above the tropopause (within TROPOPAUSE_MARGIN of it).
         OutOfValidityRange: the station falls below the validity floor,
-            or the recovered offsets land outside the default bounds.
+            or the recovered offsets land outside the default bounds by
+            more than the mean sea level solve's tolerance.
         NoConvergence: the mean sea level solve failed (never expected
             for a tropospheric observation).
     """
     # Station altitude to geopotential, pressure to pressure altitude.
     H = geodetic_to_geopotential(obs.h)
-    Hp = T0 / BETA_T_BELOW * ((obs.p / P0) ** (1.0 / GBR) - 1.0)
+    Hp = _hp_below(obs.p)
     if Hp > HP_TROP - TROPOPAUSE_MARGIN:
         where = (
             "at or above" if Hp >= HP_TROP else f"within {TROPOPAUSE_MARGIN} m of"
@@ -89,8 +91,20 @@ def identify_offsets(obs: Observation) -> Offsets:
     # Walk the column down to mean sea level for the pressure offset.
     T_isa_msl = solve_tisa_msl(T_isa, H, delta_T)
     Hp_msl = (T_isa_msl - T0) / BETA_T_BELOW
-    p_msl = P0 * (1.0 + BETA_T_BELOW / T0 * Hp_msl) ** GBR
-    return validate_offsets(Offsets(delta_T=delta_T, delta_p=p_msl - P0))
+    p_msl = _pressure_below(Hp_msl)
+    # A component past a closed bound by no more than the walk's tolerance
+    # (carried through the pressure law for delta_p) lies on that bound.
+    b = DEFAULT_OFFSET_BOUNDS
+    delta_T = _onto_bound(delta_T, b.delta_T_min, b.delta_T_max, TISA_MSL_TOL)
+    delta_p = _onto_bound(
+        p_msl - P0, b.delta_p_min, b.delta_p_max, TISA_MSL_TOL * GBR * p_msl / T_isa_msl
+    )
+    return validate_offsets(Offsets(delta_T=delta_T, delta_p=delta_p))
+
+
+def _onto_bound(x: float, low: float, high: float, tol: float) -> float:
+    inside = min(max(x, low), high)
+    return inside if abs(inside - x) <= tol else x
 
 
 @dataclass(frozen=True)

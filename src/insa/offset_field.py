@@ -94,33 +94,6 @@ def _lerp_offsets(a: Offsets, b: Offsets, s: float) -> Offsets:
 
 
 @dataclass(frozen=True)
-class RouteLinearField(OffsetField):
-    """Offsets varying linearly in time between departure and arrival.
-
-    Queries before departure or after arrival clamp to the endpoint
-    values; horizontal position is ignored, the flight progress alone
-    parameterizes the interpolation.
-    """
-
-    departure: Waypoint
-    arrival: Waypoint
-
-    def __post_init__(self):
-        if not self.arrival.t > self.departure.t:
-            raise ValueError(
-                f"arrival time {self.arrival.t} must be after departure {self.departure.t}"
-            )
-
-    def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
-        if t <= self.departure.t:
-            return self.departure.offsets
-        if t >= self.arrival.t:
-            return self.arrival.offsets
-        s = (t - self.departure.t) / (self.arrival.t - self.departure.t)
-        return _lerp_offsets(self.departure.offsets, self.arrival.offsets, s)
-
-
-@dataclass(frozen=True)
 class WaypointField(OffsetField):
     """Piecewise-linear offsets over an ordered list of waypoints."""
 

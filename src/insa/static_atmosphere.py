@@ -55,6 +55,10 @@ def _pressure_below(Hp: float) -> float:
     return P0 * (1.0 + BETA_T_BELOW / T0 * Hp) ** GBR
 
 
+def _hp_below(p: float) -> float:
+    return T0 / BETA_T_BELOW * ((p / P0) ** (1.0 / GBR) - 1.0)
+
+
 # Tropopause pressure in standard conditions; independent of the offsets.
 P_TROP = _pressure_below(HP_TROP)  # [Pa]
 
@@ -79,14 +83,8 @@ class AtmosphereAnchors:
     offsets: Offsets
     Hp_msl: float       # pressure altitude of mean sea level [m]
     T_isa_msl: float    # standard temperature at mean sea level [K]
-    T_msl: float        # temperature at mean sea level [K]
     p_msl: float        # mean sea level pressure [Pa]
-    H_hp0: float        # geopotential altitude where Hp = 0 [m]
-    T_hp0: float        # temperature where Hp = 0 [K]
-    Hp_trop: float      # tropopause pressure altitude [m]
     H_trop: float       # tropopause geopotential altitude [m]
-    p_trop: float       # tropopause pressure [Pa]
-    T_isa_trop: float   # tropopause standard temperature [K]
     T_trop: float       # tropopause temperature [K]
     H_min: float        # geopotential altitude at Hp = HP_MIN [m]
     H_max: float        # geopotential altitude at Hp = HP_MAX [m]
@@ -112,21 +110,15 @@ def _column_anchors(offsets: Offsets) -> AtmosphereAnchors:
     """
     delta_T = offsets.delta_T
     p_msl = P0 + offsets.delta_p
-    Hp_msl = T0 / BETA_T_BELOW * ((p_msl / P0) ** (1.0 / GBR) - 1.0)
+    Hp_msl = _hp_below(p_msl)
     T_isa_msl = T0 + BETA_T_BELOW * Hp_msl
     H_trop = _geopotential_below(HP_TROP, Hp_msl, T_isa_msl, delta_T)
     return AtmosphereAnchors(
         offsets=offsets,
         Hp_msl=Hp_msl,
         T_isa_msl=T_isa_msl,
-        T_msl=T_isa_msl + delta_T,
         p_msl=p_msl,
-        H_hp0=_geopotential_below(0.0, Hp_msl, T_isa_msl, delta_T),
-        T_hp0=T0 + delta_T,
-        Hp_trop=HP_TROP,
         H_trop=H_trop,
-        p_trop=P_TROP,
-        T_isa_trop=T_ISA_TROP,
         T_trop=T_ISA_TROP + delta_T,
         H_min=_geopotential_below(HP_MIN, Hp_msl, T_isa_msl, delta_T),
         H_max=H_trop + (T_ISA_TROP + delta_T) / T_ISA_TROP * (HP_MAX - HP_TROP),
@@ -187,7 +179,7 @@ def hp_from_pressure(p: float) -> float:
             f"pressure {p!r} Pa outside [{_P_FLOOR}, {_P_CEILING}] Pa"
         )
     if p >= P_TROP:
-        return T0 / BETA_T_BELOW * ((p / P0) ** (1.0 / GBR) - 1.0)
+        return _hp_below(p)
     return HP_TROP - R_AIR * T_ISA_TROP / G0 * math.log(p / P_TROP)
 
 
@@ -202,7 +194,7 @@ def geopotential_from_hp(Hp: float, column: ColumnSpec) -> float:
     a = _as_anchors(column)
     if Hp <= HP_TROP:
         return _geopotential_below(Hp, a.Hp_msl, a.T_isa_msl, a.offsets.delta_T)
-    return a.H_trop + a.T_trop / a.T_isa_trop * (Hp - HP_TROP)
+    return a.H_trop + a.T_trop / T_ISA_TROP * (Hp - HP_TROP)
 
 
 def hp_from_geopotential(H: float, column: ColumnSpec, *, max_iter: int = 50) -> float:
@@ -226,7 +218,7 @@ def hp_from_geopotential(H: float, column: ColumnSpec, *, max_iter: int = 50) ->
         )
     delta_T = a.offsets.delta_T
     if H > a.H_trop:
-        Hp, low, high = HP_TROP + a.T_isa_trop / a.T_trop * (H - a.H_trop), HP_TROP, HP_MAX
+        Hp, low, high = HP_TROP + T_ISA_TROP / a.T_trop * (H - a.H_trop), HP_TROP, HP_MAX
     elif delta_T == 0.0:
         Hp, low, high = H + a.Hp_msl, HP_MIN, HP_TROP
     else:

@@ -259,6 +259,15 @@ class TestConvert:
         )
         assert result.output.strip() == "H = 1234.500000 m"
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("from_kind, to_kind", [("H", "h"), ("h", "H"), ("H", "H"), ("Hp", "Hp")])
+    def test_non_finite_value_exit_code(self, runner, value, from_kind, to_kind):
+        result = runner.invoke(
+            main, ["convert", "--value", value, "--from", from_kind, "--to", to_kind]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+
     def test_km_input(self, runner):
         result = runner.invoke(
             main, ["convert", "--value", "11", "--km", "--from", "Hp", "--to", "H",

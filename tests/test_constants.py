@@ -7,41 +7,43 @@ from insa import (
     OffsetBounds,
     Offsets,
     OutOfValidityRange,
-    constants,
     validate_offsets,
 )
-from insa.constants import check_pressure_altitude
+from insa.constants import (
+    BETA_T_ABOVE,
+    BETA_T_BELOW,
+    G0,
+    GBR,
+    HP_TROP,
+    P0,
+    R_AIR,
+    RE,
+    RHO0,
+    T0,
+    check_pressure_altitude,
+)
 
 
 def test_constant_set_values():
-    c = constants()
-    assert c.g0 == 9.80665
-    assert c.RE == 6356766.0
-    assert c.p0 == 101325.0
-    assert c.T0 == 288.15
-    assert c.rho0 == 1.225
-    assert c.R == 287.05287
-    assert c.Hp_trop == 11000.0
-    assert c.betaT_below == -6.5e-3
-    assert c.betaT_above == 0.0
+    assert G0 == 9.80665
+    assert RE == 6356766.0
+    assert P0 == 101325.0
+    assert T0 == 288.15
+    assert RHO0 == 1.225
+    assert R_AIR == 287.05287
+    assert HP_TROP == 11000.0
+    assert BETA_T_BELOW == -6.5e-3
+    assert BETA_T_ABOVE == 0.0
 
 
 def test_pressure_exponent_is_derived():
-    c = constants()
-    assert c.gbr == c.g0 / (-c.betaT_below * c.R)
+    assert GBR == G0 / (-BETA_T_BELOW * R_AIR)
     # mpmath 50-digit evaluation of 9.80665/(6.5e-3*287.05287)
-    assert c.gbr == pytest.approx(5.2558798127166770, abs=1e-12)
+    assert GBR == pytest.approx(5.2558798127166770, abs=1e-12)
 
 
 def test_ideal_gas_closure_at_standard_msl():
-    c = constants()
-    assert abs(c.p0 / (c.R * c.T0) - c.rho0) < 1e-4
-
-
-def test_constants_referentially_transparent():
-    a, b = constants(), constants()
-    assert a is b
-    assert a == b
+    assert abs(P0 / (R_AIR * T0) - RHO0) < 1e-4
 
 
 class TestValidateOffsets:

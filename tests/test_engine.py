@@ -18,8 +18,8 @@ from insa import (
     OutOfValidityRange,
     PropertyRates,
     QuasiStaticModel,
-    RouteLinearField,
     Waypoint,
+    WaypointField,
     anchors,
     d_geopotential_d_geodetic,
     geodetic_to_geopotential,
@@ -51,10 +51,10 @@ class TestQuery:
             assert model.query(123.0, pos) == expected
 
     def test_route_field_warms_up_with_time(self):
-        field = RouteLinearField(
-            departure=Waypoint(t=0.0, lon=0.0, lat=0.0, offsets=Offsets(-20.0, 0.0)),
-            arrival=Waypoint(t=3600.0, lon=1.0, lat=0.5, offsets=Offsets(20.0, 0.0)),
-        )
+        field = WaypointField((
+            Waypoint(t=0.0, lon=0.0, lat=0.0, offsets=Offsets(-20.0, 0.0)),
+            Waypoint(t=3600.0, lon=1.0, lat=0.5, offsets=Offsets(20.0, 0.0)),
+        ))
         model = QuasiStaticModel(field=field)
         pos = GeodeticPosition(lon=0.5, lat=0.25, h=5000.0)
         temps = [model.query(t, pos).T for t in range(0, 3601, 300)]
@@ -79,10 +79,10 @@ class TestPropertyRates:
 
     def test_time_varying_field_contributes_nothing_at_zero_climb(self):
         # The field's own time variation is neglected by contract.
-        field = RouteLinearField(
-            departure=Waypoint(t=0.0, lon=0.0, lat=0.0, offsets=Offsets(-20.0, -4000.0)),
-            arrival=Waypoint(t=3600.0, lon=1.0, lat=0.5, offsets=Offsets(20.0, 4000.0)),
-        )
+        field = WaypointField((
+            Waypoint(t=0.0, lon=0.0, lat=0.0, offsets=Offsets(-20.0, -4000.0)),
+            Waypoint(t=3600.0, lon=1.0, lat=0.5, offsets=Offsets(20.0, 4000.0)),
+        ))
         model = QuasiStaticModel(field=field)
         rates = model.property_rates(1800.0, GeodeticPosition(0.5, 0.2, 6000.0), 0.0)
         assert rates == PropertyRates(0.0, 0.0, 0.0)

@@ -69,6 +69,15 @@ def test_preconditions():
         geodetic_to_geopotential(math.nan)
 
 
+@pytest.mark.parametrize(
+    "fn", [geodetic_to_geopotential, geopotential_to_geodetic, d_geopotential_d_geodetic]
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_altitude_rejected(fn, value):
+    with pytest.raises(OutOfValidityRange):
+        fn(value)
+
+
 def test_conversion_slope():
     assert d_geopotential_d_geodetic(0.0) == 1.0
     eps = 0.01

@@ -10,11 +10,14 @@ from insa import (
     Offsets,
     OutOfValidityRange,
     geodetic_to_geopotential,
+    geopotential_to_geodetic,
     identify_offsets,
     identify_offsets_batch,
     pressure_from_hp,
     state_at_geopotential,
+    state_at_pressure_altitude,
 )
+from insa.constants import DEFAULT_OFFSET_BOUNDS as BOX, T0
 
 STANDARD_MSL_OBS = Observation(t=0.0, lon=0.0, lat=0.0, h=0.0, p=101325.0, T=288.15)
 
@@ -92,6 +95,32 @@ class TestIdentifyOffsets:
         obs = Observation(t=0.0, lon=0.0, lat=0.0, h=0.0, p=p_low, T=300.0)
         with pytest.raises(OutOfValidityRange):
             identify_offsets(obs)
+
+    @pytest.mark.parametrize(
+        "delta_T, delta_p, hp",
+        [(-50.0, 0.0, -1999.0), (-50.0, -15000.0, 5000.0), (50.0, -15000.0, 10998.0),
+         (50.0, 0.0, 10998.0)],
+    )
+    def test_closed_edge_of_the_box_identified(self, delta_T, delta_p, hp):
+        # Each recovered pair rounds just past the edge of the bounds.
+        state = state_at_pressure_altitude(hp, Offsets(delta_T, delta_p))
+        h = geopotential_to_geodetic(state.H)
+        got = identify_offsets(Observation(t=0.0, lon=0.0, lat=0.0, h=h, p=state.p, T=state.T))
+        assert BOX.delta_T_min <= got.delta_T <= BOX.delta_T_max
+        assert BOX.delta_p_min <= got.delta_p <= BOX.delta_p_max
+        assert got.delta_T == pytest.approx(delta_T, abs=1e-9)
+        assert got.delta_p == pytest.approx(delta_p, abs=1e-6)
+
+    def test_edge_moves_only_within_tolerance(self):
+        # At mean sea level under standard pressure, delta_T is T - T0 exactly.
+        just_past = Observation(t=0.0, lon=0.0, lat=0.0, h=0.0, p=101325.0, T=T0 - 50.0 - 1e-10)
+        assert identify_offsets(just_past).delta_T == -50.0
+        too_cold = Observation(t=0.0, lon=0.0, lat=0.0, h=0.0, p=101325.0, T=T0 - 50.0 - 1e-6)
+        with pytest.raises(OutOfValidityRange, match="delta_T"):
+            identify_offsets(too_cold)
+        too_low = Observation(t=0.0, lon=0.0, lat=0.0, h=0.0, p=101325.0 - 15000.0 - 1e-4, T=T0)
+        with pytest.raises(OutOfValidityRange, match="delta_p"):
+            identify_offsets(too_low)
 
 
 class TestBatch:

@@ -18,7 +18,6 @@ from insa import (
     OutOfDomain,
     OutOfValidityRange,
     ParseError,
-    RouteLinearField,
     Waypoint,
     WaypointField,
     geodetic_to_geopotential,
@@ -53,10 +52,11 @@ class TestConstantField:
 
 
 class TestRouteLinearField:
+    """A route: two waypoints, departure and arrival, offsets linear in time between."""
+
     def setup_method(self):
-        self.field = RouteLinearField(
-            departure=wp(1000.0, Offsets(-20.0, -4000.0)),
-            arrival=wp(5000.0, Offsets(20.0, 4000.0)),
+        self.field = WaypointField(
+            (wp(1000.0, Offsets(-20.0, -4000.0)), wp(5000.0, Offsets(20.0, 4000.0)))
         )
 
     def test_midpoint(self):
@@ -79,10 +79,9 @@ class TestRouteLinearField:
 
     def test_time_ordering_enforced(self):
         with pytest.raises(ValueError):
-            RouteLinearField(
-                departure=wp(10.0, Offsets(0.0, 0.0)),
-                arrival=wp(10.0, Offsets(0.0, 0.0)),
-            )
+            WaypointField((wp(10.0, Offsets(0.0, 0.0)), wp(10.0, Offsets(0.0, 0.0))))
+        with pytest.raises(ValueError):
+            WaypointField((wp(20.0, Offsets(0.0, 0.0)), wp(10.0, Offsets(0.0, 0.0))))
 
     @given(st.floats(min_value=0.0, max_value=6000.0))
     def test_bounded_by_endpoints(self, t):
