@@ -103,7 +103,7 @@ def identify_offsets(obs: Observation) -> Offsets:
 
 
 def _onto_bound(x: float, low: float, high: float, tol: float) -> float:
-    inside = min(max(x, low), high)
+    inside = low if x < low else high if x > high else x
     return inside if abs(inside - x) <= tol else x
 
 

@@ -115,7 +115,7 @@ class WaypointField(OffsetField):
             return points[0].offsets
         if t >= points[-1].t:
             return points[-1].offsets
-        i = bisect_right(self._times, t) - 1
+        i = bisect_right(self._times, t, hi=len(points) - 1) - 1
         left, right = points[i], points[i + 1]
         s = (t - left.t) / (right.t - left.t)
         return _lerp_offsets(left.offsets, right.offsets, s)

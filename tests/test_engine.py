@@ -63,6 +63,14 @@ class TestQuery:
         state = model.query(1800.0, pos)
         assert state.T == pytest.approx(state.T_isa, abs=1e-12)
 
+    def test_nan_time_on_a_waypoint_field_is_out_of_validity(self):
+        field = WaypointField((
+            Waypoint(t=0.0, lon=0.0, lat=0.0, offsets=Offsets(-20.0, 0.0)),
+            Waypoint(t=3600.0, lon=1.0, lat=0.5, offsets=Offsets(20.0, 0.0)),
+        ))
+        with pytest.raises(OutOfValidityRange, match="finite"):
+            QuasiStaticModel(field=field).query(math.nan, MSL)
+
     def test_model_bounds_enforced(self):
         tight = OffsetBounds(-1.0, 1.0, -10.0, 10.0)
         model = QuasiStaticModel(field=ConstantField(Offsets(5.0, 0.0)), bounds=tight)

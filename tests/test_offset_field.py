@@ -115,6 +115,12 @@ class TestWaypointField:
         assert self.field.evaluate(-50.0, 0.0, 0.0) == self.points[0].offsets
         assert self.field.evaluate(1e6, 0.0, 0.0) == self.points[-1].offsets
 
+    def test_nan_time_gives_nan_offsets(self):
+        # Segment search stays in range; the engine then rejects the pair.
+        for field in (self.field, WaypointField(self.points[:2])):
+            got = field.evaluate(math.nan, 0.0, 0.0)
+            assert math.isnan(got.delta_T) and math.isnan(got.delta_p)
+
     def test_construction_requirements(self):
         with pytest.raises(ValueError):
             WaypointField(self.points[:1])
