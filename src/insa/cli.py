@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from .constants import Offsets
+from .constants import Offsets, validate_offsets
 from .errors import (
     AtmosphereError,
     EmptyNode,
@@ -239,8 +239,12 @@ def cmd_figure(figure_id, output):
 @click.argument("grid_file", type=click.Path(exists=True, dir_okay=False))
 @_domain_errors
 def cmd_grid_validate(grid_file):
-    """Check an offset grid file and print a summary."""
+    """Check an offset grid file against the default bounds and print a summary."""
     grid = load_grid(Path(grid_file).read_text(encoding="utf-8"))
+    dT = (float(grid.delta_T.min()), float(grid.delta_T.max()))
+    dp = (float(grid.delta_p.min()), float(grid.delta_p.max()))
+    validate_offsets(Offsets(dT[0], dp[0]))
+    validate_offsets(Offsets(dT[1], dp[1]))
     lon_deg = [math.degrees(v) for v in grid.lon_axis]
     lat_deg = [math.degrees(v) for v in grid.lat_axis]
     click.echo(f"nodes : {grid.n_nodes}")
@@ -253,12 +257,8 @@ def cmd_grid_validate(grid_file):
     click.echo(
         f"lat   : {len(lat_deg)} values in [{lat_deg[0]:.6g}, {lat_deg[-1]:.6g}] deg"
     )
-    click.echo(
-        f"dT    : [{grid.delta_T.min():.6g}, {grid.delta_T.max():.6g}] K"
-    )
-    click.echo(
-        f"dp    : [{grid.delta_p.min():.6g}, {grid.delta_p.max():.6g}] Pa"
-    )
+    click.echo(f"dT    : [{dT[0]:.6g}, {dT[1]:.6g}] K")
+    click.echo(f"dp    : [{dp[0]:.6g}, {dp[1]:.6g}] Pa")
 
 
 if __name__ == "__main__":

@@ -51,11 +51,14 @@ class OffsetBounds:
     delta_p_max: float = 15000.0   # [Pa]
 
     def __post_init__(self):
-        if self.delta_T_min > self.delta_T_max or self.delta_p_min > self.delta_p_max:
+        if not (self.delta_T_min <= self.delta_T_max and self.delta_p_min <= self.delta_p_max):
             raise ValueError(f"malformed offset bounds: {self}")
 
 
 DEFAULT_OFFSET_BOUNDS = OffsetBounds()
+
+# Physics only: what a field checks, leaving the bounds to its consumer.
+PHYSICAL_ONLY = OffsetBounds(-math.inf, math.inf, -math.inf, math.inf)
 
 
 def validate_offsets(offsets: Offsets, bounds: OffsetBounds | None = None) -> Offsets:

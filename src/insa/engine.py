@@ -10,6 +10,7 @@ vertical term `gradient * dH/dt` is retained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .constants import (
@@ -19,6 +20,7 @@ from .constants import (
     AtmosphericState,
     validate_offsets,
 )
+from .errors import OutOfValidityRange
 from .geodesy import GeodeticPosition, d_geopotential_d_geodetic, geodetic_to_geopotential
 from .offset_field import OffsetField
 from .static_atmosphere import _column_anchors, gradients_of_state, state_at_geopotential
@@ -55,7 +57,9 @@ class QuasiStaticModel:
     )
 
     def offsets_at(self, t: float, lon: float, lat: float) -> Offsets:
-        """Field evaluation followed by validation against the model bounds."""
+        """Field evaluation at a finite time, validated against the model bounds."""
+        if not math.isfinite(t):
+            raise OutOfValidityRange(f"time must be finite, got {t!r}")
         return validate_offsets(self.field.evaluate(t, lon, lat), self.bounds)
 
     def _solve(self, t: float, position: GeodeticPosition) -> AtmosphericState:

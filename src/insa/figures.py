@@ -34,15 +34,11 @@ from .static_atmosphere import (
 
 HP_KM_STEPS = 151  # 0.0 .. 15.0 km in 0.1 km steps
 
-_DT_SERIES = (-20.0, -10.0, 0.0, 10.0, 20.0)          # [K]
-_DP_SERIES = (-5000.0, -2500.0, 0.0, 2500.0, 5000.0)  # [Pa]
-_PAIR_SERIES = (
-    (-20.0, -5000.0),
-    (-20.0, 5000.0),
-    (0.0, 0.0),
-    (20.0, -5000.0),
-    (20.0, 5000.0),
-)
+_DT_SERIES = tuple(Offsets(dt, 0.0) for dt in (-20.0, -10.0, 0.0, 10.0, 20.0))
+_DP_SERIES = tuple(Offsets(0.0, dp) for dp in (-5000.0, -2500.0, 0.0, 2500.0, 5000.0))
+_PAIR_SERIES = tuple(Offsets(dt, dp) for dt, dp in (
+    (-20.0, -5000.0), (-20.0, 5000.0), (0.0, 0.0), (20.0, -5000.0), (20.0, 5000.0)
+))
 
 
 @dataclass(frozen=True)
@@ -111,34 +107,27 @@ def _build_p() -> FigureTable:
 
 
 def _build_T_dT() -> FigureTable:
-    offs = tuple(Offsets(dt, 0.0) for dt in _DT_SERIES)
-    return _per_offsets("T_dT", offs, temperature_from_hp)
+    return _per_offsets("T_dT", _DT_SERIES, temperature_from_hp)
 
 
 def _build_dHdHp_dT() -> FigureTable:
-    offs = tuple(Offsets(dt, 0.0) for dt in _DT_SERIES)
-    return _per_offsets("dHdHp_dT", offs, d_geopotential_d_hp)
+    return _per_offsets("dHdHp_dT", _DT_SERIES, d_geopotential_d_hp)
+
+
+def _geopotential_km(hp: float, offsets: Offsets) -> float:
+    return geopotential_from_hp(hp, offsets) / 1000.0
 
 
 def _build_H_dT() -> FigureTable:
-    offs = tuple(Offsets(dt, 0.0) for dt in _DT_SERIES)
-    return _per_offsets(
-        "H_dT", offs, lambda hp, o: geopotential_from_hp(hp, o) / 1000.0
-    )
+    return _per_offsets("H_dT", _DT_SERIES, _geopotential_km)
 
 
 def _build_H_dp() -> FigureTable:
-    offs = tuple(Offsets(0.0, dp) for dp in _DP_SERIES)
-    return _per_offsets(
-        "H_dp", offs, lambda hp, o: geopotential_from_hp(hp, o) / 1000.0
-    )
+    return _per_offsets("H_dp", _DP_SERIES, _geopotential_km)
 
 
 def _build_H_dTdp() -> FigureTable:
-    offs = tuple(Offsets(dt, dp) for dt, dp in _PAIR_SERIES)
-    return _per_offsets(
-        "H_dTdp", offs, lambda hp, o: geopotential_from_hp(hp, o) / 1000.0
-    )
+    return _per_offsets("H_dTdp", _PAIR_SERIES, _geopotential_km)
 
 
 _BUILDERS = {

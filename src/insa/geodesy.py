@@ -29,6 +29,15 @@ def check_latitude(lat: float) -> float:
     return lat
 
 
+def check_position(lon: float, lat: float, h: float) -> float:
+    """Check lon, lat, then h (in the conversion's domain); return the normalized lon."""
+    lon = normalize_longitude(lon)
+    check_latitude(lat)
+    if not -RE / 2.0 < h < math.inf:
+        raise OutOfValidityRange(f"geodetic altitude {h!r} m outside (-RE/2, inf)")
+    return lon
+
+
 @dataclass(frozen=True)
 class GeodeticPosition:
     """Position in longitude/latitude (rad) and geodetic altitude (m)."""
@@ -38,10 +47,7 @@ class GeodeticPosition:
     h: float    # geodetic altitude [m]
 
     def __post_init__(self):
-        object.__setattr__(self, "lon", normalize_longitude(self.lon))
-        check_latitude(self.lat)
-        if not (math.isfinite(self.h) and self.h > -RE):
-            raise OutOfValidityRange(f"geodetic altitude {self.h!r} m is not usable")
+        object.__setattr__(self, "lon", check_position(self.lon, self.lat, self.h))
 
 
 def geodetic_to_geopotential(h: float) -> float:

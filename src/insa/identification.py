@@ -21,13 +21,12 @@ from .constants import (
     HP_MIN,
     HP_TROP,
     P0,
-    RE,
     T0,
     Offsets,
     validate_offsets,
 )
 from .errors import AtmosphereError, NonPhysical, NotInTroposphere, OutOfValidityRange
-from .geodesy import check_latitude, geodetic_to_geopotential, normalize_longitude
+from .geodesy import check_position, geodetic_to_geopotential
 from .static_atmosphere import TISA_MSL_TOL, _hp_below, _pressure_below, solve_tisa_msl
 
 # Observations this close to the tropopause are rejected rather than
@@ -47,10 +46,9 @@ class Observation:
     T: float    # measured temperature [K]
 
     def __post_init__(self):
-        object.__setattr__(self, "lon", normalize_longitude(self.lon))
-        check_latitude(self.lat)
-        if not (math.isfinite(self.h) and self.h > -RE):
-            raise OutOfValidityRange(f"station altitude {self.h!r} m is not usable")
+        if not math.isfinite(self.t):
+            raise OutOfValidityRange(f"observation time must be finite, got {self.t!r}")
+        object.__setattr__(self, "lon", check_position(self.lon, self.lat, self.h))
         if not (math.isfinite(self.p) and self.p > 0.0):
             raise NonPhysical(f"measured pressure must be positive, got {self.p!r}")
         if not (math.isfinite(self.T) and self.T > 0.0):

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .constants import DEFAULT_OFFSET_BOUNDS, P0, T_ISA_TROP, Offsets, validate_offsets
+from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, validate_offsets
 from .errors import (
     AtmosphereError,
     EmptyNode,
@@ -50,7 +50,10 @@ _NUMBER = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 
 
 class OffsetField:
-    """Base contract: a deterministic map (t, lon, lat) -> Offsets."""
+    """Base contract: a deterministic map (t, lon, lat) -> Offsets.
+
+    Built-in fields check physics only; bounds are the consumer's.
+    """
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
         raise NotImplementedError
@@ -63,7 +66,7 @@ class ConstantField(OffsetField):
     offsets: Offsets
 
     def __post_init__(self):
-        validate_offsets(self.offsets)
+        validate_offsets(self.offsets, PHYSICAL_ONLY)
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
         return self.offsets
@@ -83,7 +86,7 @@ class Waypoint:
         check_latitude(self.lat)
         if not math.isfinite(self.t):
             raise OutOfValidityRange(f"waypoint time must be finite, got {self.t!r}")
-        validate_offsets(self.offsets)
+        validate_offsets(self.offsets, PHYSICAL_ONLY)
 
 
 def _lerp_offsets(a: Offsets, b: Offsets, s: float) -> Offsets:
@@ -167,18 +170,15 @@ class OffsetGrid3D:
             )
         object.__setattr__(self, "delta_T", dT)
         object.__setattr__(self, "delta_p", dp)
-        # The node-wise ``validate_offsets`` test as masks; the first failing
-        # node in C order then raises through ``validate_offsets`` itself.
-        b = DEFAULT_OFFSET_BOUNDS
+        # The node-wise physics test as masks; the first failing node in
+        # C order then raises through ``validate_offsets`` itself.
         with np.errstate(invalid="ignore"):
-            valid = (
-                np.isfinite(dT) & np.isfinite(dp) & (dp > -P0) & (dT > -T_ISA_TROP)
-                & (dT >= b.delta_T_min) & (dT <= b.delta_T_max)
-                & (dp >= b.delta_p_min) & (dp <= b.delta_p_max)
-            )
+            valid = np.isfinite(dT) & np.isfinite(dp) & (dp > -P0) & (dT > -T_ISA_TROP)
         if not valid.all():
             first = int(np.argmin(valid.ravel()))
-            validate_offsets(Offsets(float(dT.flat[first]), float(dp.flat[first])))
+            validate_offsets(
+                Offsets(float(dT.flat[first]), float(dp.flat[first])), PHYSICAL_ONLY
+            )
 
     @property
     def n_nodes(self) -> int:
@@ -241,10 +241,11 @@ def _trilerp(
 class GridField(OffsetField):
     """Trilinear interpolation over an offset grid.
 
-    Time and latitude queries must stay inside the axis ranges; longitude
-    wraps across the 2*pi seam.  Values are read through flat memoryviews
-    of the grid's own arrays, which is much cheaper than indexing numpy
-    element by element and adds no copy.
+    Time and latitude queries must stay inside the axis ranges, so a
+    non-finite one is ``OutOfDomain``; longitude wraps across the 2*pi
+    seam.  Values are read through flat memoryviews of the grid's own
+    arrays, which is much cheaper than indexing numpy element by element
+    and adds no copy.
     """
 
     grid: OffsetGrid3D
@@ -260,12 +261,6 @@ class GridField(OffsetField):
         return type(self), (self.grid,)
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
-        if not math.isfinite(t):
-            raise OutOfDomain(f"time must be finite, got {t!r}")
-        if not math.isfinite(lon):
-            raise OutOfDomain(f"longitude must be finite, got {lon!r}")
-        if not math.isfinite(lat):
-            raise OutOfDomain(f"latitude must be finite, got {lat!r}")
         grid = self.grid
         i0, i1, wi = _bracket(grid.t_axis, t, "time")
         j0, j1, wj = _bracket_periodic(grid.lon_axis, lon)

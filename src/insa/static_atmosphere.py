@@ -264,7 +264,8 @@ def state_at_pressure_altitude(Hp: float, column: ColumnSpec) -> AtmosphericStat
 def d_geopotential_d_hp(Hp: float, column: ColumnSpec) -> float:
     """Slope dH/dHp = T/T_isa; above one in warm columns, below in cold."""
     a = _as_anchors(column)
-    return temperature_from_hp(Hp, a) / standard_temperature_from_hp(Hp)
+    T_isa = standard_temperature_from_hp(Hp)
+    return (T_isa + a.offsets.delta_T) / T_isa
 
 
 class VerticalGradients(NamedTuple):

@@ -205,6 +205,13 @@ class TestIdentify:
         result = runner.invoke(main, ["identify", "--obs", str(obs_file)])
         assert result.exit_code == 5
 
+    def test_station_below_conversion_domain_exit_code(self, runner, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(OBS_TEXT.replace(",0.0,101325.0,", ",-4000000.0,101325.0,"))
+        result = runner.invoke(main, ["identify", "--obs", str(obs_file)])
+        assert result.exit_code == 5
+        assert "observation row 1: geodetic altitude -4000000.0 m outside" in result.stderr
+
     def test_non_ascii_digits_exit_code(self, runner, tmp_path):
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(
@@ -302,6 +309,13 @@ class TestGridValidate:
         result = runner.invoke(main, ["grid-validate", str(grid_file)])
         assert result.exit_code == 0
         assert "nodes : 8" in result.output
+
+    def test_grid_outside_default_bounds_exit_code(self, runner, tmp_path):
+        grid_file = tmp_path / "grid.csv"
+        grid_file.write_text(GRID_TEXT.replace(",10.0,2500.0", ",77.0,2500.0"))
+        result = runner.invoke(main, ["grid-validate", str(grid_file)])
+        assert result.exit_code == 3
+        assert "delta_T=77.0 K outside" in result.stderr
 
     def test_incomplete_grid_exit_code(self, runner, tmp_path):
         grid_file = tmp_path / "grid.csv"

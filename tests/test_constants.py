@@ -94,6 +94,13 @@ class TestValidateOffsets:
         with pytest.raises(ValueError):
             OffsetBounds(delta_T_min=10.0, delta_T_max=-10.0)
 
+    @pytest.mark.parametrize(
+        "name", ["delta_T_min", "delta_T_max", "delta_p_min", "delta_p_max"]
+    )
+    def test_nan_limit_rejected(self, name):
+        with pytest.raises(ValueError, match="malformed offset bounds"):
+            OffsetBounds(**{name: math.nan})
+
 
 def test_pressure_altitude_band():
     assert check_pressure_altitude(0.0) == 0.0

@@ -348,3 +348,41 @@ class TestModelBounds:
         with pytest.raises(OutOfValidityRange):
             anchors(Offsets(60.0, 0.0))
         assert anchors(Offsets(4.0, -30.0)) is anchors(Offsets(4.0, -30.0))
+
+
+def field_holding(kind, offsets):
+    if kind == "constant":
+        return ConstantField(offsets)
+    if kind == "waypoint":
+        return WaypointField(tuple(Waypoint(t, 0.0, 0.0, offsets) for t in (0.0, 3600.0)))
+    return GridField(OffsetGrid3D(
+        t_axis=(0.0, 3600.0), lon_axis=(0.0, 1.0), lat_axis=(-0.5, 0.5),
+        delta_T=np.full((2, 2, 2), offsets.delta_T),
+        delta_p=np.full((2, 2, 2), offsets.delta_p),
+    ))
+
+
+@pytest.mark.parametrize("kind", ["constant", "waypoint", "grid"])
+class TestOnePolicyAcrossFields:
+    """Fields check physics, the model checks its bounds and the time."""
+
+    WIDE = OffsetBounds(-80.0, 80.0, -15000.0, 15000.0)
+
+    def test_wide_bounds_answer(self, kind):
+        model = QuasiStaticModel(field_holding(kind, Offsets(60.0, 0.0)), self.WIDE)
+        state = model.query(100.0, MSL)
+        assert state.T == state.T_isa + 60.0
+
+    def test_default_bounds_reject(self, kind):
+        model = QuasiStaticModel(field_holding(kind, Offsets(60.0, 0.0)))
+        message = r"^delta_T=60\.0 K outside \[-50\.0, 50\.0\] K$"
+        with pytest.raises(OutOfValidityRange, match=message):
+            model.query(100.0, MSL)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_out_of_validity(self, kind, t):
+        model = QuasiStaticModel(field_holding(kind, Offsets(10.0, 0.0)), self.WIDE)
+        with pytest.raises(OutOfValidityRange, match="^time must be finite"):
+            model.query(t, MSL)
+        with pytest.raises(OutOfValidityRange, match="^time must be finite"):
+            model.property_rates(t, MSL, 1.0)

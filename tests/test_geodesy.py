@@ -10,6 +10,8 @@ from insa import (
     geodetic_to_geopotential,
     geopotential_to_geodetic,
 )
+from insa.constants import RE
+from insa.geodesy import check_position
 
 ALTITUDES = st.floats(min_value=-2000.0, max_value=20000.0)
 
@@ -103,3 +105,18 @@ class TestGeodeticPosition:
             GeodeticPosition(0.0, 0.0, -7000000.0)
         with pytest.raises(OutOfValidityRange):
             GeodeticPosition(0.0, 0.0, math.nan)
+
+    @pytest.mark.parametrize(
+        "h", [-0.6 * RE, -0.5 * RE, math.inf], ids=["-0.6RE", "-0.5RE", "inf"]
+    )
+    def test_altitude_outside_the_conversion_domain(self, h):
+        # Rejected when built, not at the first conversion.
+        with pytest.raises(OutOfValidityRange, match=r"outside \(-RE/2, inf\)"):
+            GeodeticPosition(0.0, 0.0, h)
+
+    def test_checks_longitude_then_latitude_then_altitude(self):
+        with pytest.raises(OutOfValidityRange, match="longitude"):
+            check_position(math.nan, 2.0, math.nan)
+        with pytest.raises(OutOfValidityRange, match="latitude"):
+            check_position(0.0, 2.0, math.nan)
+        assert check_position(-math.pi, 0.0, 0.0) == math.pi

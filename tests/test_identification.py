@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from insa import (
+    GeodeticPosition,
     NonPhysical,
     NotInTroposphere,
     Observation,
@@ -17,7 +18,7 @@ from insa import (
     state_at_geopotential,
     state_at_pressure_altitude,
 )
-from insa.constants import DEFAULT_OFFSET_BOUNDS as BOX, T0
+from insa.constants import DEFAULT_OFFSET_BOUNDS as BOX, RE, T0
 
 STANDARD_MSL_OBS = Observation(t=0.0, lon=0.0, lat=0.0, h=0.0, p=101325.0, T=288.15)
 
@@ -34,6 +35,19 @@ class TestObservation:
         assert 0.0 <= obs.lon < 2.0 * math.pi
         with pytest.raises(OutOfValidityRange):
             Observation(t=0.0, lon=0.0, lat=2.0, h=0.0, p=90000.0, T=280.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_time_must_be_finite(self, t):
+        with pytest.raises(OutOfValidityRange, match="observation time must be finite"):
+            Observation(t=t, lon=0.0, lat=0.0, h=0.0, p=90000.0, T=280.0)
+
+    @pytest.mark.parametrize("h", [-0.6 * RE, math.nan], ids=["-0.6RE", "nan"])
+    def test_station_altitude_shares_the_position_check(self, h):
+        with pytest.raises(OutOfValidityRange) as obs_err:
+            Observation(t=0.0, lon=0.0, lat=0.0, h=h, p=90000.0, T=280.0)
+        with pytest.raises(OutOfValidityRange) as pos_err:
+            GeodeticPosition(lon=0.0, lat=0.0, h=h)
+        assert str(obs_err.value) == str(pos_err.value)
 
     def test_measurements_must_be_physical(self):
         with pytest.raises(NonPhysical):

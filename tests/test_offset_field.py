@@ -12,12 +12,15 @@ from insa import (
     NonPhysical,
     GridField,
     IncompleteGrid,
+    GeodeticPosition,
     NonMonotonicAxis,
+    OffsetBounds,
     OffsetGrid3D,
     Offsets,
     OutOfDomain,
     OutOfValidityRange,
     ParseError,
+    QuasiStaticModel,
     Waypoint,
     WaypointField,
     geodetic_to_geopotential,
@@ -29,6 +32,7 @@ from insa import (
 from insa.identification import Observation
 
 TWO_PI = 2.0 * math.pi
+MSL = GeodeticPosition(lon=0.0, lat=0.0, h=0.0)
 
 
 def wp(t, offsets, lon=0.0, lat=0.0):
@@ -42,8 +46,13 @@ class TestConstantField:
             assert field.evaluate(t, lon, lat) == Offsets(-20.0, 0.0)
 
     def test_validated_on_construction(self):
-        with pytest.raises(OutOfValidityRange):
-            ConstantField(Offsets(99.0, 0.0))
+        # Physics only at construction; the bounds are the model's.
+        field = ConstantField(Offsets(99.0, 0.0))
+        with pytest.raises(OutOfValidityRange, match=r"^delta_T=99\.0 K outside"):
+            QuasiStaticModel(field=field).query(0.0, MSL)
+        wide = OffsetBounds(-100.0, 100.0, -15000.0, 15000.0)
+        state = QuasiStaticModel(field=field, bounds=wide).query(0.0, MSL)
+        assert state.T == state.T_isa + 99.0
 
     @pytest.mark.parametrize("delta_T", [-216.65, -250.0])
     def test_column_reaching_zero_kelvin_is_non_physical(self, delta_T):
@@ -222,7 +231,8 @@ class TestGridField:
 
     @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
     def test_non_finite_longitude_out_of_domain(self, lon):
-        with pytest.raises(OutOfDomain):
+        # The same error as for any other non-finite longitude.
+        with pytest.raises(OutOfValidityRange, match="longitude must be finite"):
             GridField(make_grid()).evaluate(0.0, lon, 0.0)
 
     def test_pickles(self):
@@ -239,14 +249,16 @@ class TestGridField:
                 delta_T=np.zeros((2, 2, 2)),
                 delta_p=np.zeros((2, 2, 2)),
             )
-        with pytest.raises(OutOfValidityRange):
-            OffsetGrid3D(
-                t_axis=(0.0, 1.0),
-                lon_axis=(0.0, 1.0),
-                lat_axis=(0.0, 0.5),
-                delta_T=np.full((2, 2, 2), 77.0),
-                delta_p=np.zeros((2, 2, 2)),
-            )
+        # Out of the default bounds but physical: the grid builds, the model rejects it.
+        warm = OffsetGrid3D(
+            t_axis=(0.0, 1.0),
+            lon_axis=(0.0, 1.0),
+            lat_axis=(0.0, 0.5),
+            delta_T=np.full((2, 2, 2), 77.0),
+            delta_p=np.zeros((2, 2, 2)),
+        )
+        with pytest.raises(OutOfValidityRange, match=r"^delta_T=77\.0 K outside"):
+            QuasiStaticModel(field=GridField(warm)).query(0.0, MSL)
 
     @staticmethod
     def small_grid(delta_T, delta_p):
@@ -257,12 +269,12 @@ class TestGridField:
 
     def test_first_bad_node_in_c_order_is_reported(self):
         dT, dp = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
-        dT[1, 0, 0] = -88.0
-        dT[0, 1, 1] = 77.0
-        with pytest.raises(OutOfValidityRange, match=r"^delta_T=77\.0 K outside"):
+        dT[1, 0, 0] = -300.0
+        dT[0, 1, 1] = -250.0
+        with pytest.raises(NonPhysical, match=r"^delta_T=-250\.0 K implies"):
             self.small_grid(dT, dp)
         # Fortran order storage does not change which node comes first.
-        with pytest.raises(OutOfValidityRange, match=r"^delta_T=77\.0 K outside"):
+        with pytest.raises(NonPhysical, match=r"^delta_T=-250\.0 K implies"):
             self.small_grid(np.asfortranarray(dT), dp)
 
     def test_first_bad_node_decides_the_error_type(self):
@@ -271,10 +283,11 @@ class TestGridField:
         dT[1, 1, 1] = math.nan
         with pytest.raises(NonPhysical, match="delta_p=-200000.0 Pa"):
             self.small_grid(dT, dp)
-        dp[0, 0, 1] = 20000.0
-        with pytest.raises(OutOfValidityRange, match=r"^delta_p=20000\.0 Pa outside"):
-            self.small_grid(dT, dp)
         dp[0, 0, 1] = 0.0
+        dT[0, 0, 1] = -250.0
+        with pytest.raises(NonPhysical, match=r"^delta_T=-250\.0 K implies"):
+            self.small_grid(dT, dp)
+        dT[0, 0, 1] = 0.0
         with pytest.raises(OutOfValidityRange, match="must be finite"):
             self.small_grid(dT, dp)
 
@@ -526,6 +539,16 @@ class TestGridFromObservations:
         grid = grid_from_observations(obs, self.t_axis, self.lon_axis, self.lat_axis)
         assert np.all(np.abs(grid.delta_T) < 1e-9)
         assert np.all(np.abs(grid.delta_p) < 1e-9)
+
+    @pytest.mark.parametrize("bad_t", [math.nan, math.inf])
+    def test_non_finite_time_is_not_binned(self, bad_t):
+        # The nearest-node search would put a NaN or inf time on the first node.
+        obs = (
+            Observation(t=t, lon=lon, lat=lat, h=0.0, p=101325.0, T=288.15)
+            for t, lon, lat in [*self.corners(), (bad_t, self.lon_axis[0], self.lat_axis[0])]
+        )
+        with pytest.raises(OutOfValidityRange, match="observation time must be finite"):
+            grid_from_observations(obs, self.t_axis, self.lon_axis, self.lat_axis)
 
     def test_duplicates_averaged(self):
         obs = [
