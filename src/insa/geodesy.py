@@ -20,7 +20,8 @@ def normalize_longitude(lon: float) -> float:
     """Wrap a finite longitude into [0, 2*pi) radians."""
     if not math.isfinite(lon):
         raise OutOfValidityRange(f"longitude must be finite, got {lon!r}")
-    return lon % TWO_PI
+    lon %= TWO_PI
+    return lon if lon < TWO_PI else 0.0  # a tiny negative lon rounds up to 2*pi
 
 
 def check_latitude(lat: float) -> float:

@@ -25,6 +25,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, validate_offsets
@@ -124,6 +125,23 @@ class WaypointField(OffsetField):
         return _lerp_offsets(left.offsets, right.offsets, s)
 
 
+def _checked_axes(*axes: Iterable[float]) -> tuple[tuple[float, ...], ...]:
+    """(t, lon, lat) as float tuples: strictly increasing, finite, lon and lat in range."""
+    t, lon, lat = (tuple(float(v) for v in axis) for axis in axes)
+    for name, axis in (("time", t), ("longitude", lon), ("latitude", lat)):
+        if len(axis) < 2:
+            raise NonMonotonicAxis(f"{name} axis needs at least two values")
+        if any(a >= b for a, b in zip(axis, axis[1:])):
+            raise NonMonotonicAxis(f"{name} axis must be strictly increasing: {axis}")
+        if any(not math.isfinite(v) for v in axis):
+            raise NonMonotonicAxis(f"{name} axis must be finite: {axis}")
+    if not all(0.0 <= v < TWO_PI for v in lon):
+        raise NonMonotonicAxis(f"longitude axis must lie in [0, 2*pi): {lon}")
+    for v in lat:
+        check_latitude(v)
+    return t, lon, lat
+
+
 @dataclass(frozen=True, eq=False)
 class OffsetGrid3D:
     """Dense rectilinear grid of offset pairs over (t, lon, lat).
@@ -141,24 +159,9 @@ class OffsetGrid3D:
     delta_p: np.ndarray          # [Pa], shape (n_t, n_lon, n_lat)
 
     def __post_init__(self):
-        object.__setattr__(self, "t_axis", tuple(float(v) for v in self.t_axis))
-        object.__setattr__(self, "lon_axis", tuple(float(v) for v in self.lon_axis))
-        object.__setattr__(self, "lat_axis", tuple(float(v) for v in self.lat_axis))
-        for name, axis in (
-            ("time", self.t_axis),
-            ("longitude", self.lon_axis),
-            ("latitude", self.lat_axis),
-        ):
-            if len(axis) < 2:
-                raise NonMonotonicAxis(f"{name} axis needs at least two values")
-            if any(a >= b for a, b in zip(axis, axis[1:])):
-                raise NonMonotonicAxis(f"{name} axis must be strictly increasing: {axis}")
-            if any(not math.isfinite(v) for v in axis):
-                raise NonMonotonicAxis(f"{name} axis must be finite: {axis}")
-        if not all(0.0 <= v < TWO_PI for v in self.lon_axis):
-            raise NonMonotonicAxis(f"longitude axis must lie in [0, 2*pi): {self.lon_axis}")
-        for v in self.lat_axis:
-            check_latitude(v)
+        axes = _checked_axes(self.t_axis, self.lon_axis, self.lat_axis)
+        for name, axis in zip(("t_axis", "lon_axis", "lat_axis"), axes):
+            object.__setattr__(self, name, axis)
         import numpy as np
 
         shape = (len(self.t_axis), len(self.lon_axis), len(self.lat_axis))
@@ -303,16 +306,6 @@ def _parse_rows(source: str, expected_header: str) -> list[tuple[float, ...]]:
     return rows
 
 
-def _first_appearance(values: Iterable[float]) -> list[float]:
-    seen: list[float] = []
-    known: set[float] = set()
-    for v in values:
-        if v not in known:
-            known.add(v)
-            seen.append(v)
-    return seen
-
-
 def load_grid(source: str) -> OffsetGrid3D:
     """Build an offset grid from grid-file content.
 
@@ -332,44 +325,46 @@ def load_grid(source: str) -> OffsetGrid3D:
         if not -90.0 <= lat_deg <= 90.0:
             raise ParseError(f"latitude {lat_deg} deg outside [-90, 90]")
 
-    axes_deg = {}
-    for name, idx in (("time", 0), ("longitude", 1), ("latitude", 2)):
-        order = _first_appearance(row[idx] for row in rows)
+    data = np.fromiter(chain.from_iterable(rows), float, 5 * len(rows)).reshape(-1, 5)
+    axes_deg, indices = [], []
+    for k, name in enumerate(("time", "longitude", "latitude")):
+        column = data[:, k].tolist()
+        order = list(dict.fromkeys(column))  # first appearance; -0.0 and 0.0 are one value
         if len(order) >= 2 and all(a > b for a, b in zip(order, order[1:])):
             raise NonMonotonicAxis(
                 f"{name} axis values appear in descending order; list them ascending"
             )
-        axes_deg[name] = sorted(order)
+        axes_deg.append(sorted(order))
+        position = {v: i for i, v in enumerate(axes_deg[-1])}
+        indices.append(np.fromiter(map(position.__getitem__, column), np.intp, len(column)))
 
-    nodes: dict[tuple[float, float, float], tuple[float, float]] = {}
-    for t, lon_deg, lat_deg, d_T, d_p in rows:
-        key = (t, lon_deg, lat_deg)
-        if key in nodes:
-            raise ParseError(f"duplicate node t={t}, lon={lon_deg}, lat={lat_deg}")
-        nodes[key] = (d_T, d_p)
+    # One flat C-order node index per row; a whole grid has one row per node.
+    shape = tuple(len(axis) for axis in axes_deg)
+    flat = np.ravel_multi_index(indices, shape)
+    if math.prod(shape) != len(rows) or np.bincount(flat).max() > 1:
+        # The first repeated row in the file, else the first missing node
+        # in C order. No per-node array: a bad file's axes can span far
+        # more nodes than it has rows.
+        seen: set[int] = set()
+        for row, node in zip(rows, flat.tolist()):
+            if node in seen:
+                raise ParseError(f"duplicate node t={row[0]}, lon={row[1]}, lat={row[2]}")
+            seen.add(node)
+        missing = next(i for i in range(len(rows) + 1) if i not in seen)
+        t, lon, lat = (a[i] for a, i in zip(axes_deg, np.unravel_index(missing, shape)))
+        raise IncompleteGrid(f"missing node t={t}, lon={lon}, lat={lat}")
+    # Plain assignment, not a weighted bincount, so -0.0 values stay -0.0.
+    values = np.empty((2, flat.size))
+    values[0][flat] = data[:, 3]
+    values[1][flat] = data[:, 4]
 
-    t_axis = axes_deg["time"]
-    lon_axis_deg = axes_deg["longitude"]
-    lat_axis_deg = axes_deg["latitude"]
-    shape = (len(t_axis), len(lon_axis_deg), len(lat_axis_deg))
-    delta_T = np.empty(shape)
-    delta_p = np.empty(shape)
-    for it, t in enumerate(t_axis):
-        for il, lon_deg in enumerate(lon_axis_deg):
-            for ik, lat_deg in enumerate(lat_axis_deg):
-                try:
-                    delta_T[it, il, ik], delta_p[it, il, ik] = nodes[(t, lon_deg, lat_deg)]
-                except KeyError:
-                    raise IncompleteGrid(
-                        f"missing node t={t}, lon={lon_deg}, lat={lat_deg}"
-                    ) from None
-
+    t_axis, lon_axis_deg, lat_axis_deg = axes_deg
     return OffsetGrid3D(
         t_axis=tuple(t_axis),
         lon_axis=tuple(math.radians(v) for v in lon_axis_deg),
         lat_axis=tuple(math.radians(v) for v in lat_axis_deg),
-        delta_T=delta_T,
-        delta_p=delta_p,
+        delta_T=values[0].reshape(shape),
+        delta_p=values[1].reshape(shape),
     )
 
 
@@ -421,14 +416,14 @@ def grid_from_observations(
     and node values are the unweighted means of their assigned offsets.
 
     Raises:
+        NonMonotonicAxis: an empty, short, unordered or non-finite axis,
+            found before any observation is identified.
         EmptyNode: some node received no observation.
         Identification errors propagate for the offending record.
     """
     import numpy as np
 
-    t_axis = tuple(float(v) for v in t_axis)
-    lon_axis = tuple(float(v) for v in lon_axis)
-    lat_axis = tuple(float(v) for v in lat_axis)
+    t_axis, lon_axis, lat_axis = _checked_axes(t_axis, lon_axis, lat_axis)
     shape = (len(t_axis), len(lon_axis), len(lat_axis))
     sums_T = np.zeros(shape)
     sums_p = np.zeros(shape)

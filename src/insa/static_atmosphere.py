@@ -190,8 +190,8 @@ def geopotential_from_hp(Hp: float, column: ColumnSpec) -> float:
     T/T_isa, so warm columns stretch and cold ones compress relative to
     the Hp scale.
     """
-    check_pressure_altitude(Hp)
     a = _as_anchors(column)
+    check_pressure_altitude(Hp)
     if Hp <= HP_TROP:
         return _geopotential_below(Hp, a.Hp_msl, a.T_isa_msl, a.offsets.delta_T)
     return a.H_trop + a.T_trop / T_ISA_TROP * (Hp - HP_TROP)

@@ -5,13 +5,18 @@ from hypothesis import given, strategies as st
 
 from insa import (
     GeodeticPosition,
+    GridField,
+    OffsetGrid3D,
+    Offsets,
     OutOfValidityRange,
+    Waypoint,
     d_geopotential_d_geodetic,
     geodetic_to_geopotential,
     geopotential_to_geodetic,
 )
 from insa.constants import RE
 from insa.geodesy import check_position
+from insa.identification import Observation
 
 ALTITUDES = st.floats(min_value=-2000.0, max_value=20000.0)
 
@@ -120,3 +125,27 @@ class TestGeodeticPosition:
         with pytest.raises(OutOfValidityRange, match="latitude"):
             check_position(0.0, 2.0, math.nan)
         assert check_position(-math.pi, 0.0, 0.0) == math.pi
+
+
+# -1e-17 % (2*pi) rounds to 2*pi itself; the longitude must still land on 0.
+TINY_NEGATIVE_LON = -1e-17
+
+
+def _node_grid():
+    # Across the seam from the 0.1 node, 0.5 + 1.0 * (0.1 - 0.5) != 0.1.
+    values = [[[0.1, 0.2], [0.5, 0.4]], [[0.5, 0.6], [0.7, 0.8]]]
+    return OffsetGrid3D((0.0, 60.0), (0.0, math.pi), (-0.5, 0.5), values, values)
+
+
+@pytest.mark.parametrize(
+    "value_at, expected",
+    [
+        (lambda lon: GeodeticPosition(lon, 0.0, 0.0).lon, 0.0),
+        (lambda lon: Observation(t=0.0, lon=lon, lat=0.0, h=0.0, p=101325.0, T=288.15).lon, 0.0),
+        (lambda lon: Waypoint(t=0.0, lon=lon, lat=0.0, offsets=Offsets(0.0, 0.0)).lon, 0.0),
+        (lambda lon: GridField(_node_grid()).evaluate(0.0, lon, -0.5), Offsets(0.1, 0.1)),
+    ],
+    ids=["GeodeticPosition", "Observation", "Waypoint", "GridField_node"],
+)
+def test_tiny_negative_longitude_wraps_to_zero(value_at, expected):
+    assert value_at(TINY_NEGATIVE_LON) == expected

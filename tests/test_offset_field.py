@@ -1,12 +1,16 @@
+import itertools
 import math
 import pickle
+import random
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from insa import (
+    AtmosphereError,
     ConstantField,
     EmptyNode,
     NonPhysical,
@@ -30,6 +34,7 @@ from insa import (
     state_at_geopotential,
 )
 from insa.identification import Observation
+from insa.offset_field import GRID_HEADER, _parse_rows
 
 TWO_PI = 2.0 * math.pi
 MSL = GeodeticPosition(lon=0.0, lat=0.0, h=0.0)
@@ -492,6 +497,116 @@ class TestLoadGrid:
         with pytest.raises(ParseError):
             load_grid(grid_file(["0.0,10.0,95.0,0.0,0.0"]))
 
+    def test_sparse_axes_allocate_nothing_per_node(self):
+        # 300 rows on a diagonal span 300**3 = 27M nodes; 8 bytes a node would be 216 MB.
+        rows = [f"{i}.0,{i},{i / 4 - 37.5},0.0,0.0" for i in range(300)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(IncompleteGrid, match=r"^missing node t=0\.0, lon=0\.0, lat=-37\.25$"):
+                load_grid(grid_file(rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+def reference_load_grid(source):
+    """The dict-and-triple-loop loader that index arithmetic replaced."""
+    rows = _parse_rows(source, GRID_HEADER)
+    for t, lon, lat, _, _ in rows:
+        if not 0.0 <= lon < 360.0:
+            raise ParseError(f"longitude {lon} deg outside [0, 360)")
+        if not -90.0 <= lat <= 90.0:
+            raise ParseError(f"latitude {lat} deg outside [-90, 90]")
+    axes = []
+    for name, idx in (("time", 0), ("longitude", 1), ("latitude", 2)):
+        order = []
+        for row in rows:
+            if row[idx] not in order:
+                order.append(row[idx])
+        if len(order) >= 2 and all(a > b for a, b in zip(order, order[1:])):
+            raise NonMonotonicAxis(
+                f"{name} axis values appear in descending order; list them ascending"
+            )
+        axes.append(sorted(order))
+    nodes = {}
+    for t, lon, lat, d_T, d_p in rows:
+        if (t, lon, lat) in nodes:
+            raise ParseError(f"duplicate node t={t}, lon={lon}, lat={lat}")
+        nodes[t, lon, lat] = (d_T, d_p)
+    shape = tuple(len(axis) for axis in axes)
+    delta_T, delta_p = np.empty(shape), np.empty(shape)
+    for (it, t), (il, lon), (ik, lat) in itertools.product(*map(enumerate, axes)):
+        if (t, lon, lat) not in nodes:
+            raise IncompleteGrid(f"missing node t={t}, lon={lon}, lat={lat}")
+        delta_T[it, il, ik], delta_p[it, il, ik] = nodes[t, lon, lat]
+    return OffsetGrid3D(
+        tuple(axes[0]), tuple(map(math.radians, axes[1])), tuple(map(math.radians, axes[2])),
+        delta_T, delta_p,
+    )
+
+
+def _load_outcome(load, text):
+    """Axes and values as bytes, so -0.0 and 0.0 differ; or the error type and message."""
+    try:
+        grid = load(text)
+    except AtmosphereError as err:
+        return type(err), str(err)
+    axes = (grid.t_axis, grid.lon_axis, grid.lat_axis)
+    values = (grid.delta_T, grid.delta_p)
+    return tuple(np.array(a).tobytes() for a in (*axes, *values))
+
+
+def _signed(draw, value):
+    return -0.0 if value == 0.0 and draw(st.booleans()) else value
+
+
+@st.composite
+def grid_texts(draw):
+    """Small grid files: whole, or with rows shuffled, dropped, duplicated or out of range."""
+    pools = ([0.0, 600.0, 3600.0], [0.0, 10.0, 90.0, 350.0], [-90.0, -30.0, 0.0, 45.0, 90.0])
+    axes = []
+    for pool in pools:
+        size = draw(st.sampled_from([1, 2, 2, 2, 2, 3, 3, 3, 3, 3]))
+        axis = sorted(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size,
+                                    unique=True)))
+        axes.append(axis[::-1] if draw(st.integers(0, 11)) == 0 else axis)
+    # Node values come from a seeded stream: far cheaper than a hypothesis draw each.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def values():
+        return rng.choice([-0.0, 0.0, rng.uniform(-40.0, 40.0)])
+
+    nesting = draw(st.permutations(range(3)))  # which axis varies slowest in the file
+    nodes = (
+        [node[nesting.index(k)] for k in range(3)]
+        for node in itertools.product(*(axes[k] for k in nesting))
+    )
+    rows = [[*(_signed(draw, v) for v in node), values(), values()] for node in nodes]
+    if draw(st.integers(0, 2)) == 0:
+        rows = draw(st.permutations(rows))
+    if len(rows) > 1 and draw(st.integers(0, 4)) == 0:
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 2]))):
+        row = list(draw(st.sampled_from(rows)))
+        if draw(st.booleans()):
+            row[3:] = values(), values()
+        row[:3] = (_signed(draw, v) for v in row[:3])
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    bad = draw(st.sampled_from([None] * 20 + [(1, 360.0), (1, -0.5), (2, 90.5), (2, -91.0)]))
+    if bad is not None:
+        rows[draw(st.integers(0, len(rows) - 1))][bad[0]] = bad[1]
+    return grid_file([",".join(map(repr, row)) for row in rows])
+
+
+class TestLoadGridDifferential:
+    """load_grid against the reference loader: same grid bytes, or same error and message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_texts())
+    def test_matches_reference(self, text):
+        assert _load_outcome(load_grid, text) == _load_outcome(reference_load_grid, text)
+
 
 class TestLoadObservations:
     def test_round_trip_file(self):
@@ -588,6 +703,24 @@ class TestGridFromObservations:
                            h=0.0, p=101325.0, T=288.15)]
         with pytest.raises(EmptyNode):
             grid_from_observations(obs, self.t_axis, self.lon_axis, self.lat_axis)
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ((), "time axis needs at least two values"),
+            ((0.0,), "time axis needs at least two values"),
+            ((3600.0, 0.0), r"time axis must be strictly increasing: \(3600\.0, 0\.0\)"),
+            ((0.0, math.inf), r"time axis must be finite: \(0\.0, inf\)"),
+        ],
+        ids=["empty", "short", "descending", "non_finite"],
+    )
+    def test_bad_axis_rejected_before_identification(self, axis, message):
+        def observations():
+            raise AssertionError("an observation was identified")
+            yield
+
+        with pytest.raises(NonMonotonicAxis, match=f"^{message}$"):
+            grid_from_observations(observations(), axis, self.lon_axis, self.lat_axis)
 
     def test_identification_errors_propagate(self):
         from insa import NotInTroposphere, pressure_from_hp

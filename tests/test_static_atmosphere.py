@@ -238,6 +238,21 @@ class TestGeopotentialFromHp:
             assert d_geopotential_d_hp(hp, o) == pytest.approx(fd, rel=1e-6)
 
 
+class TestCheckOrder:
+    @pytest.mark.parametrize(
+        "f",
+        [geopotential_from_hp, temperature_from_hp, d_geopotential_d_hp,
+         state_at_pressure_altitude],
+        ids=lambda f: f.__name__,
+    )
+    def test_offsets_are_checked_before_the_band(self, f):
+        # Both inputs are out of range; every column function names the offsets.
+        with pytest.raises(
+            OutOfValidityRange, match=r"^delta_T=99\.0 K outside \[-50\.0, 50\.0\] K$"
+        ):
+            f(25000.0, Offsets(99.0, 0.0))
+
+
 class TestHpFromGeopotential:
     def test_msl_maps_to_hp_msl_for_any_temperature_offset(self):
         for dt in (-20.0, -5.0, 0.0, 5.0, 20.0):
