@@ -4,6 +4,7 @@ import pytest
 
 from insa import (
     FIGURE_IDS,
+    Offsets,
     OutOfDomain,
     build_figure,
     geopotential_from_hp,
@@ -127,3 +128,44 @@ def test_render_deterministic_and_parsable():
 def test_unknown_figure_id():
     with pytest.raises(OutOfDomain):
         build_figure("nope")
+
+
+_DT_LEGEND = [
+    ("dT-20K_dp+0Pa", Offsets(-20.0, 0.0)),
+    ("dT-10K_dp+0Pa", Offsets(-10.0, 0.0)),
+    ("dT+0K_dp+0Pa", Offsets(0.0, 0.0)),
+    ("dT+10K_dp+0Pa", Offsets(10.0, 0.0)),
+    ("dT+20K_dp+0Pa", Offsets(20.0, 0.0)),
+]
+
+# Every figure id, in CLI order, with the (name, offsets) of its series.
+FIGURE_STRUCTURE = {
+    "dTdHp": [("dT_dHp_K_per_km", None)],
+    "dpdHp": [("dp_dHp_Pa_per_m", None)],
+    "Tisa": [("T_isa_K", None)],
+    "T_dT": _DT_LEGEND,
+    "dHdHp_dT": _DT_LEGEND,
+    "p": [("p_kPa", None)],
+    "H_dT": _DT_LEGEND,
+    "H_dp": [
+        ("dT+0K_dp-5000Pa", Offsets(0.0, -5000.0)),
+        ("dT+0K_dp-2500Pa", Offsets(0.0, -2500.0)),
+        ("dT+0K_dp+0Pa", Offsets(0.0, 0.0)),
+        ("dT+0K_dp+2500Pa", Offsets(0.0, 2500.0)),
+        ("dT+0K_dp+5000Pa", Offsets(0.0, 5000.0)),
+    ],
+    "H_dTdp": [
+        ("dT-20K_dp-5000Pa", Offsets(-20.0, -5000.0)),
+        ("dT-20K_dp+5000Pa", Offsets(-20.0, 5000.0)),
+        ("dT+0K_dp+0Pa", Offsets(0.0, 0.0)),
+        ("dT+20K_dp-5000Pa", Offsets(20.0, -5000.0)),
+        ("dT+20K_dp+5000Pa", Offsets(20.0, 5000.0)),
+    ],
+}
+
+
+def test_figure_ids_order_and_series_legends():
+    assert FIGURE_IDS == tuple(FIGURE_STRUCTURE)
+    for figure_id, legend in FIGURE_STRUCTURE.items():
+        series = build_figure(figure_id).series
+        assert [(s.name, s.offsets) for s in series] == legend, figure_id
