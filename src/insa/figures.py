@@ -33,6 +33,8 @@ from .static_atmosphere import (
 )
 
 HP_KM_STEPS = 151  # 0.0 .. 15.0 km in 0.1 km steps
+_KMS = tuple(i / 10 for i in range(HP_KM_STEPS))
+_METRES = tuple(i * 100.0 for i in range(HP_KM_STEPS))
 
 _DT_SERIES = tuple(Offsets(dt, 0.0) for dt in (-20.0, -10.0, 0.0, 10.0, 20.0))
 _DP_SERIES = tuple(Offsets(0.0, dp) for dp in (-5000.0, -2500.0, 0.0, 2500.0, 5000.0))
@@ -57,103 +59,55 @@ class FigureTable:
     series: tuple[FigureSeries, ...]
 
 
-def _samples() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    kms = tuple(i / 10 for i in range(HP_KM_STEPS))
-    metres = tuple(i * 100.0 for i in range(HP_KM_STEPS))
-    return kms, metres
+def _gradient_K_per_km(hp: float) -> float:
+    return (BETA_T_BELOW if hp <= HP_TROP else BETA_T_ABOVE) * 1000.0
 
 
-def _single(figure_id: str, name: str, fn) -> FigureTable:
-    kms, metres = _samples()
-    return FigureTable(
-        figure_id=figure_id,
-        abscissa_km=kms,
-        series=(FigureSeries(name, tuple(fn(hp) for hp in metres)),),
-    )
-
-
-def _per_offsets(figure_id: str, offset_list, fn) -> FigureTable:
-    kms, metres = _samples()
-    series = []
-    for offsets in offset_list:
-        name = f"dT{offsets.delta_T:+g}K_dp{offsets.delta_p:+g}Pa"
-        series.append(
-            FigureSeries(name, tuple(fn(hp, offsets) for hp in metres), offsets)
-        )
-    return FigureTable(figure_id=figure_id, abscissa_km=kms, series=tuple(series))
-
-
-def _build_dTdHp() -> FigureTable:
-    def step(hp: float) -> float:
-        beta = BETA_T_BELOW if hp <= HP_TROP else BETA_T_ABOVE
-        return beta * 1000.0  # K/km
-
-    return _single("dTdHp", "dT_dHp_K_per_km", step)
-
-
-def _build_dpdHp() -> FigureTable:
-    def slope(hp: float) -> float:
-        return -G0 * pressure_from_hp(hp) / (R_AIR * standard_temperature_from_hp(hp))
-
-    return _single("dpdHp", "dp_dHp_Pa_per_m", slope)
-
-
-def _build_Tisa() -> FigureTable:
-    return _single("Tisa", "T_isa_K", standard_temperature_from_hp)
-
-
-def _build_p() -> FigureTable:
-    return _single("p", "p_kPa", lambda hp: pressure_from_hp(hp) / 1000.0)
-
-
-def _build_T_dT() -> FigureTable:
-    return _per_offsets("T_dT", _DT_SERIES, temperature_from_hp)
-
-
-def _build_dHdHp_dT() -> FigureTable:
-    return _per_offsets("dHdHp_dT", _DT_SERIES, d_geopotential_d_hp)
+def _dp_dhp(hp: float) -> float:
+    return -G0 * pressure_from_hp(hp) / (R_AIR * standard_temperature_from_hp(hp))
 
 
 def _geopotential_km(hp: float, offsets: Offsets) -> float:
     return geopotential_from_hp(hp, offsets) / 1000.0
 
 
-def _build_H_dT() -> FigureTable:
-    return _per_offsets("H_dT", _DT_SERIES, _geopotential_km)
-
-
-def _build_H_dp() -> FigureTable:
-    return _per_offsets("H_dp", _DP_SERIES, _geopotential_km)
-
-
-def _build_H_dTdp() -> FigureTable:
-    return _per_offsets("H_dTdp", _PAIR_SERIES, _geopotential_km)
-
-
-_BUILDERS = {
-    "dTdHp": _build_dTdHp,
-    "dpdHp": _build_dpdHp,
-    "Tisa": _build_Tisa,
-    "T_dT": _build_T_dT,
-    "dHdHp_dT": _build_dHdHp_dT,
-    "p": _build_p,
-    "H_dT": _build_H_dT,
-    "H_dp": _build_H_dp,
-    "H_dTdp": _build_H_dTdp,
+# Figure id -> (the name of its one curve, or the offsets of its series;
+# the plotted function of Hp [m], taking the offsets too for a series).
+_FIGURES = {
+    "dTdHp": ("dT_dHp_K_per_km", _gradient_K_per_km),
+    "dpdHp": ("dp_dHp_Pa_per_m", _dp_dhp),
+    "Tisa": ("T_isa_K", standard_temperature_from_hp),
+    "T_dT": (_DT_SERIES, temperature_from_hp),
+    "dHdHp_dT": (_DT_SERIES, d_geopotential_d_hp),
+    "p": ("p_kPa", lambda hp: pressure_from_hp(hp) / 1000.0),
+    "H_dT": (_DT_SERIES, _geopotential_km),
+    "H_dp": (_DP_SERIES, _geopotential_km),
+    "H_dTdp": (_PAIR_SERIES, _geopotential_km),
 }
 
-FIGURE_IDS = tuple(_BUILDERS)
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def build_figure(figure_id: str) -> FigureTable:
     """Compute the data table for one figure id."""
     try:
-        builder = _BUILDERS[figure_id]
+        curves, fn = _FIGURES[figure_id]
     except KeyError:
         raise OutOfDomain(
             f"unknown figure id {figure_id!r}; choose one of {', '.join(FIGURE_IDS)}"
         ) from None
-    return builder()
+    if isinstance(curves, str):
+        series = (FigureSeries(curves, tuple(map(fn, _METRES))),)
+    else:
+        series = tuple(
+            FigureSeries(
+                f"dT{o.delta_T:+g}K_dp{o.delta_p:+g}Pa",
+                tuple(fn(hp, o) for hp in _METRES),
+                o,
+            )
+            for o in curves
+        )
+    return FigureTable(figure_id, _KMS, series)
 
 
 def render_table(table: FigureTable) -> str:
