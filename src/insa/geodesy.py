@@ -30,12 +30,16 @@ def check_latitude(lat: float) -> float:
     return lat
 
 
+def check_altitude(h: float) -> None:
+    if not -RE / 2.0 < h < math.inf:
+        raise OutOfValidityRange(f"geodetic altitude {h!r} m outside (-RE/2, inf)")
+
+
 def check_position(lon: float, lat: float, h: float) -> float:
     """Check lon, lat, then h (in the conversion's domain); return the normalized lon."""
     lon = normalize_longitude(lon)
     check_latitude(lat)
-    if not -RE / 2.0 < h < math.inf:
-        raise OutOfValidityRange(f"geodetic altitude {h!r} m outside (-RE/2, inf)")
+    check_altitude(h)
     return lon
 
 
@@ -53,8 +57,7 @@ class GeodeticPosition:
 
 def geodetic_to_geopotential(h: float) -> float:
     """Geopotential altitude H for geodetic altitude h, both in metres."""
-    if not -RE / 2.0 < h < math.inf:
-        raise OutOfValidityRange(f"geodetic altitude {h!r} m outside (-RE/2, inf)")
+    check_altitude(h)
     return RE * h / (RE + h)
 
 
@@ -67,7 +70,6 @@ def geopotential_to_geodetic(H: float) -> float:
 
 def d_geopotential_d_geodetic(h: float) -> float:
     """Slope dH/dh of the conversion at geodetic altitude h."""
-    if not -RE / 2.0 < h < math.inf:
-        raise OutOfValidityRange(f"geodetic altitude {h!r} m outside (-RE/2, inf)")
+    check_altitude(h)
     ratio = RE / (RE + h)
     return ratio * ratio
