@@ -90,6 +90,8 @@ class QuasiStaticModel:
         conversion; the offsets are held frozen at (t, lon, lat), so a
         time-varying field contributes nothing at h_dot = 0 by design.
         """
+        if not math.isfinite(h_dot):
+            raise OutOfValidityRange(f"climb rate must be finite, got {h_dot!r}")
         key, state = self._last
         if key != (t, position.lon, position.lat, position.h):
             state = self._solve(t, position)

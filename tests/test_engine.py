@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import threading
 
@@ -124,6 +125,16 @@ class TestPropertyRates:
             assert rates.drho_dt == pytest.approx(
                 (after.rho - before.rho) / (2 * dt_step), rel=1e-5
             )
+
+    @pytest.mark.parametrize("h_dot", [math.nan, math.inf, -math.inf])
+    def test_non_finite_climb_rate_out_of_validity(self, h_dot):
+        model = grid_model()
+        t, pos, _ = grid_points(1, 3)[0]
+        model.query(t, pos)  # the memo holds this point
+        before = model.field.calls
+        with pytest.raises(OutOfValidityRange, match="^climb rate must be finite, got"):
+            model.property_rates(t, pos, h_dot)
+        assert model.field.calls == before
 
     def test_conversion_slope_applied(self):
         model = constant_model()
@@ -386,3 +397,28 @@ class TestOnePolicyAcrossFields:
             model.query(t, MSL)
         with pytest.raises(OutOfValidityRange, match="^time must be finite"):
             model.property_rates(t, MSL, 1.0)
+
+
+def test_grid_field_and_model_survive_pickling():
+    model = grid_model()
+    field = model.field.inner
+    axes = field.grid
+    node = (axes.t_axis[1], axes.lon_axis[3], axes.lat_axis[2])
+    cell = (1234.5, 1.1, 0.37)
+    seam = (2000.0, axes.lon_axis[-1] + 0.1, -0.5)  # between the last node and 2*pi
+    seam_negative = (2000.0, -0.1, -0.5)  # the same segment, reached from below 0
+    points = (node, cell, seam, seam_negative)
+    original = QuasiStaticModel(field=field)
+    for (t, lon, lat) in points:
+        original.query(t, GeodeticPosition(lon, lat, 5000.0))
+
+    field_copy = pickle.loads(pickle.dumps(field))
+    model_copy = pickle.loads(pickle.dumps(original))
+    assert isinstance(model_copy.field, GridField)
+    for (t, lon, lat) in points:
+        pos = GeodeticPosition(lon, lat, 5000.0)
+        offsets = field.evaluate(t, lon, lat)
+        assert field_copy.evaluate(t, lon, lat) == offsets
+        assert model_copy.field.evaluate(t, lon, lat) == offsets
+        assert model_copy.query(t, pos) == original.query(t, pos)
+        assert model_copy.property_rates(t, pos, 3.0) == original.property_rates(t, pos, 3.0)
