@@ -400,22 +400,21 @@ class TestOnePolicyAcrossFields:
 
 
 def test_grid_field_and_model_survive_pickling():
-    model = grid_model()
-    field = model.field.inner
-    axes = field.grid
-    node = (axes.t_axis[1], axes.lon_axis[3], axes.lat_axis[2])
+    field = grid_model().field.inner
+    grid = field.grid
+    node = (grid.t_axis[1], grid.lon_axis[3], grid.lat_axis[2])
     cell = (1234.5, 1.1, 0.37)
-    seam = (2000.0, axes.lon_axis[-1] + 0.1, -0.5)  # between the last node and 2*pi
+    seam = (2000.0, grid.lon_axis[-1] + 0.1, -0.5)  # between the last node and 2*pi
     seam_negative = (2000.0, -0.1, -0.5)  # the same segment, reached from below 0
     points = (node, cell, seam, seam_negative)
     original = QuasiStaticModel(field=field)
-    for (t, lon, lat) in points:
+    for t, lon, lat in points:
         original.query(t, GeodeticPosition(lon, lat, 5000.0))
 
     field_copy = pickle.loads(pickle.dumps(field))
     model_copy = pickle.loads(pickle.dumps(original))
     assert isinstance(model_copy.field, GridField)
-    for (t, lon, lat) in points:
+    for t, lon, lat in points:
         pos = GeodeticPosition(lon, lat, 5000.0)
         offsets = field.evaluate(t, lon, lat)
         assert field_copy.evaluate(t, lon, lat) == offsets
