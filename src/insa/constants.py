@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonPhysical, OutOfValidityRange
 
@@ -33,8 +34,7 @@ HP_MIN = -2000.0  # [m]
 HP_MAX = 20000.0  # [m]
 
 
-@dataclass(frozen=True)
-class Offsets:
+class Offsets(NamedTuple):
     """Temperature/pressure offset pair identifying one static atmosphere."""
 
     delta_T: float  # temperature offset [K]
@@ -101,8 +101,7 @@ def validate_offsets(offsets: Offsets, bounds: OffsetBounds | None = None) -> Of
     return offsets
 
 
-@dataclass(frozen=True)
-class AtmosphericState:
+class AtmosphericState(NamedTuple):
     """Self-consistent bundle of atmospheric quantities at one point."""
 
     Hp: float     # pressure altitude [m]

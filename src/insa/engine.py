@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .constants import (
     DEFAULT_OFFSET_BOUNDS,
@@ -26,8 +27,7 @@ from .offset_field import OffsetField
 from .static_atmosphere import _column_anchors, gradients_of_state, state_at_geopotential
 
 
-@dataclass(frozen=True)
-class PropertyRates:
+class PropertyRates(NamedTuple):
     """Time derivatives of the atmospheric properties along a trajectory."""
 
     dp_dt: float    # [Pa/s]
@@ -95,10 +95,6 @@ class QuasiStaticModel:
         key, state = self._last
         if key != (t, position.lon, position.lat, position.h):
             state = self._solve(t, position)
-        gradients = gradients_of_state(state)
+        dp_dH, dT_dH, drho_dH = gradients_of_state(state)
         H_dot = d_geopotential_d_geodetic(position.h) * h_dot
-        return PropertyRates(
-            dp_dt=gradients.dp_dH * H_dot,
-            dT_dt=gradients.dT_dH * H_dot,
-            drho_dt=gradients.drho_dH * H_dot,
-        )
+        return PropertyRates(dp_dH * H_dot, dT_dH * H_dot, drho_dH * H_dot)

@@ -97,7 +97,7 @@ def identify_offsets(obs: Observation) -> Offsets:
     delta_p = _onto_bound(
         p_msl - P0, b.delta_p_min, b.delta_p_max, TISA_MSL_TOL * GBR * p_msl / T_isa_msl
     )
-    return validate_offsets(Offsets(delta_T=delta_T, delta_p=delta_p))
+    return validate_offsets(Offsets(delta_T, delta_p))
 
 
 def _onto_bound(x: float, low: float, high: float, tol: float) -> float:

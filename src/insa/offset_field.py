@@ -91,10 +91,7 @@ class Waypoint:
 
 
 def _lerp_offsets(a: Offsets, b: Offsets, s: float) -> Offsets:
-    return Offsets(
-        delta_T=a.delta_T + s * (b.delta_T - a.delta_T),
-        delta_p=a.delta_p + s * (b.delta_p - a.delta_p),
-    )
+    return Offsets(a.delta_T + s * (b.delta_T - a.delta_T), a.delta_p + s * (b.delta_p - a.delta_p))
 
 
 @dataclass(frozen=True)
@@ -274,10 +271,7 @@ class GridField(OffsetField):
         r01, r11 = i0 * row + j1 * n_lat, i1 * row + j1 * n_lat
         corners = (r00 + k0, r10 + k0, r01 + k0, r11 + k0, r00 + k1, r10 + k1, r01 + k1, r11 + k1)
         dT, dp = self._flat
-        return Offsets(
-            delta_T=_trilerp(dT, corners, wi, wj, wk),
-            delta_p=_trilerp(dp, corners, wi, wj, wk),
-        )
+        return Offsets(_trilerp(dT, corners, wi, wj, wk), _trilerp(dp, corners, wi, wj, wk))
 
 
 def _parse_rows(source: str, expected_header: str) -> list[tuple[float, ...]]:

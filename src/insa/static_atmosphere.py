@@ -22,7 +22,6 @@ cached anchors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Union
 
@@ -72,8 +71,7 @@ _P_CEILING = _pressure_below(HP_MIN)  # highest valid pressure [Pa]
 _P_FLOOR = _pressure_above(HP_MAX)    # lowest valid pressure [Pa]
 
 
-@dataclass(frozen=True)
-class AtmosphereAnchors:
+class AtmosphereAnchors(NamedTuple):
     """Boundary values of one column, computed once per offset pair.
 
     Carries the generating offsets so that any operation accepting either
@@ -113,15 +111,11 @@ def _column_anchors(offsets: Offsets) -> AtmosphereAnchors:
     Hp_msl = _hp_below(p_msl)
     T_isa_msl = T0 + BETA_T_BELOW * Hp_msl
     H_trop = _geopotential_below(HP_TROP, Hp_msl, T_isa_msl, delta_T)
+    T_trop = T_ISA_TROP + delta_T
     return AtmosphereAnchors(
-        offsets=offsets,
-        Hp_msl=Hp_msl,
-        T_isa_msl=T_isa_msl,
-        p_msl=p_msl,
-        H_trop=H_trop,
-        T_trop=T_ISA_TROP + delta_T,
-        H_min=_geopotential_below(HP_MIN, Hp_msl, T_isa_msl, delta_T),
-        H_max=H_trop + (T_ISA_TROP + delta_T) / T_ISA_TROP * (HP_MAX - HP_TROP),
+        offsets, Hp_msl, T_isa_msl, p_msl, H_trop, T_trop,
+        _geopotential_below(HP_MIN, Hp_msl, T_isa_msl, delta_T),
+        H_trop + T_trop / T_ISA_TROP * (HP_MAX - HP_TROP),
     )
 
 
@@ -241,7 +235,7 @@ def _state(Hp: float, H: float, delta_T: float) -> AtmosphericState:
     else:
         T_isa, p = T_ISA_TROP, _pressure_above(Hp)
     T = T_isa + delta_T
-    return AtmosphericState(Hp=Hp, H=H, p=p, T=T, T_isa=T_isa, rho=p / (R_AIR * T))
+    return AtmosphericState(Hp, H, p, T, T_isa, p / (R_AIR * T))
 
 
 def state_at_geopotential(H: float, column: ColumnSpec) -> AtmosphericState:
@@ -295,7 +289,7 @@ def gradients_of_state(st: AtmosphericState) -> VerticalGradients:
     dp_dH = -st.rho * G0
     dT_dH = beta * st.T_isa / st.T
     drho_dH = dp_dH / (R_AIR * st.T) - st.p * dT_dH / (R_AIR * st.T * st.T)
-    return VerticalGradients(dp_dH=dp_dH, dT_dH=dT_dH, drho_dH=drho_dH)
+    return VerticalGradients(dp_dH, dT_dH, drho_dH)
 
 
 def solve_tisa_msl(T_isa: float, H: float, delta_T: float, *, max_iter: int = 50) -> float:

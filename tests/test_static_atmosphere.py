@@ -476,9 +476,9 @@ class TestEdgesNotSilentlyClamped:
     def test_stratosphere_overshoot(self):
         # Anchors whose span reaches past Hp = HP_MAX, slightly or by far.
         a = anchors(self.O)
-        near = dataclasses.replace(a, H_max=a.H_max + 1e-10)
+        near = a._replace(H_max=a.H_max + 1e-10)
         assert state_at_geopotential(near.H_max, near).Hp == HP_MAX
-        far = dataclasses.replace(a, H_max=a.H_max + 1e-3)
+        far = a._replace(H_max=a.H_max + 1e-3)
         with pytest.raises(NoConvergence, match="inversion landed"):
             state_at_geopotential(far.H_max, far)
 

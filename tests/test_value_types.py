@@ -1,0 +1,125 @@
+"""Value semantics of the result types: immutable, picklable tuples.
+
+``Offsets``, ``AtmosphericState``, ``PropertyRates`` and
+``AtmosphereAnchors`` are NamedTuples: they print as they did as frozen
+dataclasses, and compare and hash as the plain tuple of their fields.
+"""
+
+import pickle
+
+import pytest
+
+from insa import (
+    AtmosphereAnchors,
+    AtmosphericState,
+    Offsets,
+    PropertyRates,
+    VerticalGradients,
+    anchors,
+)
+
+OFFSETS = Offsets(1.5, -250.0)
+STATE = AtmosphericState(1000.0, 1001.5, 89876.25, 283.5, 281.65, 1.104)
+RATES = PropertyRates(-60.0, -0.039, -0.0058)
+ANCHORS = AtmosphereAnchors(OFFSETS, 21.0, 288.0, 101075.0, 11030.0, 218.15, -1981.0, 20000.5)
+
+# Each value, the repr it must keep, and one field to replace.
+CASES = {
+    "Offsets": (
+        OFFSETS,
+        "Offsets(delta_T=1.5, delta_p=-250.0)",
+        "delta_p",
+    ),
+    "AtmosphericState": (
+        STATE,
+        "AtmosphericState(Hp=1000.0, H=1001.5, p=89876.25, T=283.5, T_isa=281.65,"
+        " rho=1.104)",
+        "rho",
+    ),
+    "PropertyRates": (
+        RATES,
+        "PropertyRates(dp_dt=-60.0, dT_dt=-0.039, drho_dt=-0.0058)",
+        "dT_dt",
+    ),
+    "AtmosphereAnchors": (
+        ANCHORS,
+        "AtmosphereAnchors(offsets=Offsets(delta_T=1.5, delta_p=-250.0), Hp_msl=21.0,"
+        " T_isa_msl=288.0, p_msl=101075.0, H_trop=11030.0, T_trop=218.15, H_min=-1981.0,"
+        " H_max=20000.5)",
+        "H_max",
+    ),
+}
+NAMES = sorted(CASES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_unchanged(name):
+    value, text, _ = CASES[name]
+    assert repr(value) == text
+    assert str(value) == text
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_attributes_cannot_be_set(name):
+    value, _, field = CASES[name]
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0.0)
+    with pytest.raises(AttributeError):
+        value.extra = 0.0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pickle_round_trip(name):
+    value, _, _ = CASES[name]
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value
+    assert repr(copy) == repr(value)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_replace_changes_one_field(name):
+    value, _, field = CASES[name]
+    changed = value._replace(**{field: 7.25})
+    assert getattr(changed, field) == 7.25
+    assert type(changed) is type(value)
+    assert changed._replace(**{field: getattr(value, field)}) == value
+    assert changed._asdict() == {**value._asdict(), field: 7.25}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_fields_equal_values_and_hashes(name):
+    value, _, _ = CASES[name]
+    twin = type(value)(*value)
+    assert twin == value and twin is not value
+    assert hash(twin) == hash(value)
+    assert twin._replace(**{value._fields[-1]: 7.25}) != value
+
+
+def test_field_names_and_order():
+    assert Offsets._fields == ("delta_T", "delta_p")
+    assert AtmosphericState._fields == ("Hp", "H", "p", "T", "T_isa", "rho")
+    assert PropertyRates._fields == ("dp_dt", "dT_dt", "drho_dt")
+    assert AtmosphereAnchors._fields == (
+        "offsets", "Hp_msl", "T_isa_msl", "p_msl", "H_trop", "T_trop", "H_min", "H_max",
+    )
+
+
+def test_tuple_semantics():
+    assert Offsets(1.0, 2.0) == (1.0, 2.0)
+    assert hash(Offsets(1.0, 2.0)) == hash((1.0, 2.0))
+    delta_T, delta_p = OFFSETS
+    assert (delta_T, delta_p) == (OFFSETS.delta_T, OFFSETS.delta_p) == (OFFSETS[0], OFFSETS[1])
+    assert len(STATE) == 6 and list(STATE)[-1] == STATE.rho
+    assert Offsets(1.0, 2.0) < Offsets(1.0, 3.0)
+    # Distinct types with equal values compare equal, as tuples do.
+    assert PropertyRates(1.0, 2.0, 3.0) == VerticalGradients(1.0, 2.0, 3.0)
+
+
+def test_anchors_cache_keyed_by_value():
+    anchors.cache_clear()
+    first = anchors(Offsets(3.0, 1200.0))
+    again = anchors(Offsets(3.0, 1200.0))
+    assert again is first
+    info = anchors.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
