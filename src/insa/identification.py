@@ -64,6 +64,8 @@ def identify_offsets(obs: Observation) -> Offsets:
         OutOfValidityRange: the station falls below the validity floor,
             or the recovered offsets land outside the default bounds by
             more than the mean sea level solve's tolerance.
+        NonPhysical: the column through the station cannot reach mean sea
+            level at a positive temperature (a station far below it).
         NoConvergence: the mean sea level solve failed (never expected
             for a tropospheric observation).
     """

@@ -42,7 +42,7 @@ from .constants import (
     check_pressure_altitude,
     validate_offsets,
 )
-from .errors import NoConvergence, OutOfValidityRange
+from .errors import NoConvergence, NonPhysical, OutOfValidityRange
 from .solvers import newton
 
 # Step tolerances of the two solves; also the most a result may move onto an edge.
@@ -301,9 +301,23 @@ def solve_tisa_msl(T_isa: float, H: float, delta_T: float, *, max_iter: int = 50
     level.  With delta_T = 0 the relationship is linear and solved
     directly; otherwise w = T_isa_msl/T_isa solves w + a*ln(w) = c for
     a = delta_T/T_isa and c = 1 - betaT*H/T_isa.
+
+    Raises:
+        NonPhysical: the column cannot reach mean sea level at a positive
+            temperature: c <= 0 (the standard temperature T_isa - betaT*H
+            of a delta_T = 0 column there is not positive), or, in a cold
+            column, c at or below a*(ln(-a) - 1), the least value of the
+            left side, where the temperature w + a reaches zero first.
+        NoConvergence: iteration budget exhausted.
     """
+    a = delta_T / T_isa
+    c = 1.0 - BETA_T_BELOW * H / T_isa
+    if c <= (a * (math.log(-a) - 1.0) if a < 0.0 else 0.0):
+        raise NonPhysical(
+            f"the column through T_isa={T_isa!r} K at H={H!r} m with delta_T={delta_T!r} K"
+            " cannot reach mean sea level at a positive temperature"
+        )
     if delta_T == 0.0:
         return T_isa - BETA_T_BELOW * H
-    c = 1.0 - BETA_T_BELOW * H / T_isa
-    w, _ = newton(delta_T / T_isa, c, tol=TISA_MSL_TOL / T_isa, max_iter=max_iter)
+    w, _ = newton(a, c, tol=TISA_MSL_TOL / T_isa, max_iter=max_iter)
     return w * T_isa

@@ -212,6 +212,22 @@ class TestIdentify:
         assert result.exit_code == 5
         assert "observation row 1: geodetic altitude -4000000.0 m outside" in result.stderr
 
+    def test_station_far_below_sea_level_exit_code(self, runner):
+        result = runner.invoke(main, ["identify", "--h", "-45000", "--p", "101325", "--t", "288.15"])
+        assert result.exit_code == 3
+        assert "cannot reach mean sea level at a positive temperature" in result.stderr
+
+    def test_station_far_below_sea_level_is_a_row_error(self, runner, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(OBS_TEXT + "90.0,10.0,40.0,-45000.0,101325.0,300.0\n")
+        result = runner.invoke(main, ["identify", "--obs", str(obs_file), "--format", "csv"])
+        assert result.exit_code == 0
+        rows = result.stdout.splitlines()
+        assert len(rows) == 4
+        assert rows[1].startswith("0.0,10.0,40.0,0.0,")
+        assert rows[3].startswith("90.0,10.0,40.0,,,")
+        assert "cannot reach mean sea level at a positive temperature" in rows[3]
+
     def test_non_ascii_digits_exit_code(self, runner, tmp_path):
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(

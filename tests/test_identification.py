@@ -15,10 +15,11 @@ from insa import (
     identify_offsets,
     identify_offsets_batch,
     pressure_from_hp,
+    solve_tisa_msl,
     state_at_geopotential,
     state_at_pressure_altitude,
 )
-from insa.constants import DEFAULT_OFFSET_BOUNDS as BOX, RE, T0
+from insa.constants import BETA_T_BELOW, DEFAULT_OFFSET_BOUNDS as BOX, RE, T0
 
 STANDARD_MSL_OBS = Observation(t=0.0, lon=0.0, lat=0.0, h=0.0, p=101325.0, T=288.15)
 
@@ -135,6 +136,45 @@ class TestIdentifyOffsets:
         too_low = Observation(t=0.0, lon=0.0, lat=0.0, h=0.0, p=101325.0 - 15000.0 - 1e-4, T=T0)
         with pytest.raises(OutOfValidityRange, match="delta_p"):
             identify_offsets(too_low)
+
+    @pytest.mark.parametrize(
+        "h, T",
+        [(-45000.0, 288.15), (-45000.0, 280.0), (-45000.0, 300.0), (-1e6, 288.15),
+         (-1e6, 200.0), (-1e6, 400.0)],
+    )
+    def test_station_far_below_sea_level_non_physical(self, h, T):
+        # The walk up to mean sea level would take the column to 0 K first.
+        obs = Observation(t=0.0, lon=0.0, lat=0.0, h=h, p=101325.0, T=T)
+        with pytest.raises(NonPhysical, match="cannot reach mean sea level"):
+            identify_offsets(obs)
+
+
+class TestMeanSeaLevelReach:
+    """solve_tisa_msl refuses a column that cannot reach mean sea level warm."""
+
+    T_ISA = 288.15
+
+    def H_at(self, c):
+        # Geopotential altitude at which 1 - betaT*H/T_isa equals c.
+        return (1.0 - c) * self.T_ISA / BETA_T_BELOW
+
+    @pytest.mark.parametrize("delta_T", [-30.0, 0.0, 30.0])
+    def test_non_positive_c_non_physical(self, delta_T):
+        for c in (0.0, -1e-9, -0.5):
+            with pytest.raises(NonPhysical):
+                solve_tisa_msl(self.T_ISA, self.H_at(c), delta_T)
+
+    def test_cold_column_reaches_only_above_the_least_value(self):
+        delta_T = -30.0
+        a = delta_T / self.T_ISA
+        least = a * (math.log(-a) - 1.0)
+        with pytest.raises(NonPhysical):
+            solve_tisa_msl(self.T_ISA, self.H_at(least - 1e-6), delta_T)
+        T_isa_msl = solve_tisa_msl(self.T_ISA, self.H_at(least + 1e-6), delta_T)
+        assert T_isa_msl + delta_T > 0.0
+
+    def test_warm_column_with_positive_c_solved(self):
+        assert solve_tisa_msl(self.T_ISA, self.H_at(0.05), 30.0) > 0.0
 
 
 class TestBatch:
