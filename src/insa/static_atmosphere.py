@@ -304,11 +304,11 @@ def solve_tisa_msl(T_isa: float, H: float, delta_T: float, *, max_iter: int = 50
 
     Raises:
         NonPhysical: the column cannot reach mean sea level at a positive
-            temperature: c <= 0 (the standard temperature T_isa - betaT*H
-            of a delta_T = 0 column there is not positive), or, in a cold
-            column, c at or below a*(ln(-a) - 1), the least value of the
-            left side, where the temperature w + a reaches zero first.
-        NoConvergence: iteration budget exhausted.
+            temperature: c <= 0 (T_isa - betaT*H, the mean sea level
+            standard temperature at delta_T = 0, is not positive), or, in
+            a cold column, c at or below the least value a*(ln(-a) - 1)
+            of the left side, where the temperature w + a reaches zero.
+        NoConvergence: the solve failed (see ``solvers.newton``).
     """
     a = delta_T / T_isa
     c = 1.0 - BETA_T_BELOW * H / T_isa
