@@ -143,14 +143,14 @@ class TestIdentifyOffsets:
          (-1e6, 200.0), (-1e6, 400.0)],
     )
     def test_station_far_below_sea_level_non_physical(self, h, T):
-        # The walk up to mean sea level would take the column to 0 K first.
+        # c <= 0 at every one: the walk up to mean sea level is refused before any solve.
         obs = Observation(t=0.0, lon=0.0, lat=0.0, h=h, p=101325.0, T=T)
         with pytest.raises(NonPhysical, match="cannot reach mean sea level"):
             identify_offsets(obs)
 
 
 class TestMeanSeaLevelReach:
-    """solve_tisa_msl refuses a column that cannot reach mean sea level warm."""
+    """solve_tisa_msl refuses a column that cannot reach mean sea level at T > 0."""
 
     T_ISA = 288.15
 
