@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from bisect import bisect_right
 
@@ -34,7 +35,7 @@ from insa import (
     state_at_geopotential,
 )
 from insa.identification import Observation
-from insa.offset_field import GRID_HEADER, _parse_rows
+from insa.offset_field import GRID_HEADER
 
 TWO_PI = 2.0 * math.pi
 MSL = GeodeticPosition(lon=0.0, lat=0.0, h=0.0)
@@ -510,9 +511,39 @@ class TestLoadGrid:
         assert peak < 16e6
 
 
+_NUMBER = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
+
+
+def reference_parse_rows(source: str, expected_header: str) -> list[tuple[float, ...]]:
+    """The line-by-line parse that the chunked parse replaced, kept as its reference."""
+    lines = source.splitlines()
+    if not lines:
+        raise ParseError("empty file")
+    if lines[0].strip() != expected_header:
+        raise ParseError(f"bad header {lines[0].strip()!r}, expected {expected_header!r}")
+    n_fields = len(expected_header.split(","))
+    rows: list[tuple[float, ...]] = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise ParseError(f"line {line_no}: expected {n_fields} fields, got {len(parts)}")
+        values = []
+        for part in parts:
+            token = part.strip()
+            if not _NUMBER.match(token):
+                raise ParseError(f"line {line_no}: {token!r} is not a plain decimal number")
+            values.append(float(token))
+        rows.append(tuple(values))
+    if not rows:
+        raise ParseError("no data rows")
+    return rows
+
+
 def reference_load_grid(source):
     """The dict-and-triple-loop loader that index arithmetic replaced."""
-    rows = _parse_rows(source, GRID_HEADER)
+    rows = reference_parse_rows(source, GRID_HEADER)
     for t, lon, lat, _, _ in rows:
         if not 0.0 <= lon < 360.0:
             raise ParseError(f"longitude {lon} deg outside [0, 360)")
