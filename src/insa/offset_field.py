@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, validate_offsets
 from .errors import (
@@ -48,6 +49,15 @@ GRID_HEADER = "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"
 OBSERVATION_HEADER = "t_s,lon_deg,lat_deg,h_m,p_pa,t_k"
 
 _NUMBER = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
+# Every character for which str.isspace() holds, mapped to a space: float()
+# refuses \x1c-\x1f around a number, which str.strip() removes.
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_SPACES = str.maketrans(_WHITESPACE, " " * len(_WHITESPACE))
+_NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE, ")  # deletes them
+_BLOCK_CHARS = 1 << 18  # text parsed at once: bounds the parse's transient memory
 
 
 class OffsetField:
@@ -274,30 +284,79 @@ class GridField(OffsetField):
         return Offsets(_trilerp(dT, corners, wi, wj, wk), _trilerp(dp, corners, wi, wj, wk))
 
 
-def _parse_rows(source: str, expected_header: str) -> list[tuple[float, ...]]:
-    lines = source.splitlines()
-    if not lines:
-        raise ParseError("empty file")
-    if lines[0].strip() != expected_header:
-        raise ParseError(f"bad header {lines[0].strip()!r}, expected {expected_header!r}")
-    n_fields = len(expected_header.split(","))
-    rows: list[tuple[float, ...]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+def _line_error(lines: list[str], first_line_no: int, n_fields: int) -> ParseError:
+    """The error of the first line the per-line rule rejects.
+
+    The rule: a line with ``n_fields`` comma-separated fields, each a
+    ``_NUMBER`` once stripped of whitespace.  Only called on a block the
+    chunked parse rejected, which always holds such a line.
+    """
+    for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != n_fields:
-            raise ParseError(f"line {line_no}: expected {n_fields} fields, got {len(parts)}")
-        values = []
+            return ParseError(f"line {line_no}: expected {n_fields} fields, got {len(parts)}")
         for part in parts:
             token = part.strip()
             if not _NUMBER.match(token):
-                raise ParseError(f"line {line_no}: {token!r} is not a plain decimal number")
-            values.append(float(token))
-        rows.append(tuple(values))
-    if not rows:
+                return ParseError(f"line {line_no}: {token!r} is not a plain decimal number")
+    raise AssertionError("the chunked parse rejected a block the per-line rule accepts")
+
+
+def _blocks(source: str) -> Iterator[tuple[int, list[str]]]:
+    """``source.splitlines()`` in blocks of about ``_BLOCK_CHARS`` characters.
+
+    Each block comes with the number of its first line.  A block ends
+    just after a ``\n``, which never splits a ``\r\n`` pair, so the blocks
+    hold the same lines as the whole text.
+    """
+    line_no, pos = 1, 0
+    while pos < len(source):
+        cut = source.find("\n", pos + _BLOCK_CHARS) + 1 or len(source)
+        lines = source[pos:cut].splitlines()
+        yield line_no, lines
+        line_no, pos = line_no + len(lines), cut
+
+
+def _parse_values(source: str, expected_header: str) -> array:
+    """Every number of the body, row after row, as one flat float array.
+
+    A body line is blank (only whitespace, skipped) or ``n_fields``
+    comma-separated plain decimal numbers, each with any whitespace
+    around it.  A block of lines is checked and parsed at once: each
+    whitespace character becomes a space, the block must then hold
+    nothing but the number characters, commas and spaces and the right
+    comma count on every line, and ``float`` reads its fields.  Within
+    that character set ``float`` accepts exactly the tokens ``_NUMBER``
+    does, so a rejected block raises the per-line rule's error for its
+    first bad line, and there is one parse only.
+    """
+    blocks = _blocks(source)
+    _, lines = next(blocks, (1, []))
+    if not lines:
+        raise ParseError("empty file")
+    if lines[0].strip() != expected_header:
+        raise ParseError(f"bad header {lines[0].strip()!r}, expected {expected_header!r}")
+    n_fields = expected_header.count(",") + 1
+    values = array("d")
+    for first_line_no, block in chain([(2, lines[1:])], blocks):
+        rows = list(filter(str.strip, block))
+        if not rows:
+            continue
+        text = ",".join(rows).translate(_SPACES)
+        if not text.translate(_NUMBER_CHARS) and not any(
+            map((n_fields - 1).__ne__, map(str.count, rows, repeat(",")))
+        ):
+            try:
+                values.extend(map(float, text.split(",")))
+                continue
+            except ValueError:
+                pass
+        raise _line_error(block, first_line_no, n_fields)
+    if not values:
         raise ParseError("no data rows")
-    return rows
+    return values
 
 
 def load_grid(source: str) -> OffsetGrid3D:
@@ -312,14 +371,16 @@ def load_grid(source: str) -> OffsetGrid3D:
     """
     import numpy as np
 
-    rows = _parse_rows(source, GRID_HEADER)
-    for t, lon_deg, lat_deg, _, _ in rows:
-        if not 0.0 <= lon_deg < 360.0:
-            raise ParseError(f"longitude {lon_deg} deg outside [0, 360)")
-        if not -90.0 <= lat_deg <= 90.0:
-            raise ParseError(f"latitude {lat_deg} deg outside [-90, 90]")
+    data = np.frombuffer(_parse_values(source, GRID_HEADER)).reshape(-1, 5)
+    lon_deg, lat_deg = data[:, 1], data[:, 2]
+    bad_lon = ~((0.0 <= lon_deg) & (lon_deg < 360.0))
+    bad = bad_lon | ~((-90.0 <= lat_deg) & (lat_deg <= 90.0))
+    if bad.any():  # the first bad row in the file; longitude first within it
+        i = int(bad.argmax())
+        if bad_lon[i]:
+            raise ParseError(f"longitude {float(lon_deg[i])} deg outside [0, 360)")
+        raise ParseError(f"latitude {float(lat_deg[i])} deg outside [-90, 90]")
 
-    data = np.fromiter(chain.from_iterable(rows), float, 5 * len(rows)).reshape(-1, 5)
     axes_deg, indices = [], []
     for k, name in enumerate(("time", "longitude", "latitude")):
         column = data[:, k].tolist()
@@ -335,16 +396,16 @@ def load_grid(source: str) -> OffsetGrid3D:
     # One flat C-order node index per row; a whole grid has one row per node.
     shape = tuple(len(axis) for axis in axes_deg)
     flat = np.ravel_multi_index(indices, shape)
-    if math.prod(shape) != len(rows) or np.bincount(flat).max() > 1:
+    if math.prod(shape) != len(data) or np.bincount(flat).max() > 1:
         # The first repeated row in the file, else the first missing node
         # in C order. No per-node array: a bad file's axes can span far
         # more nodes than it has rows.
         seen: set[int] = set()
-        for row, node in zip(rows, flat.tolist()):
+        for row, node in zip(data.tolist(), flat.tolist()):
             if node in seen:
                 raise ParseError(f"duplicate node t={row[0]}, lon={row[1]}, lat={row[2]}")
             seen.add(node)
-        missing = next(i for i in range(len(rows) + 1) if i not in seen)
+        missing = next(i for i in range(len(data) + 1) if i not in seen)
         t, lon, lat = (a[i] for a, i in zip(axes_deg, np.unravel_index(missing, shape)))
         raise IncompleteGrid(f"missing node t={t}, lon={lon}, lat={lat}")
     # Plain assignment, not a weighted bincount, so -0.0 values stay -0.0.
@@ -364,8 +425,9 @@ def load_grid(source: str) -> OffsetGrid3D:
 
 def load_observations(source: str) -> list[Observation]:
     """Parse an observation file into observation records."""
-    rows = _parse_rows(source, OBSERVATION_HEADER)
+    values = _parse_values(source, OBSERVATION_HEADER)
     observations = []
+    rows = zip(*[iter(values)] * 6)
     for row_no, (t, lon_deg, lat_deg, h, p, T) in enumerate(rows, start=1):
         try:
             observations.append(

@@ -3,8 +3,11 @@ import math
 import pickle
 import random
 import re
+import sys
 import tracemalloc
+from array import array
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +38,8 @@ from insa import (
     state_at_geopotential,
 )
 from insa.identification import Observation
-from insa.offset_field import GRID_HEADER
+from insa import offset_field
+from insa.offset_field import GRID_HEADER, OBSERVATION_HEADER
 
 TWO_PI = 2.0 * math.pi
 MSL = GeodeticPosition(lon=0.0, lat=0.0, h=0.0)
@@ -637,6 +641,161 @@ class TestLoadGridDifferential:
     @given(grid_texts())
     def test_matches_reference(self, text):
         assert _load_outcome(load_grid, text) == _load_outcome(reference_load_grid, text)
+
+
+def reference_load_observations(source):
+    """The observation loader over the line-by-line parse."""
+    observations = []
+    rows = reference_parse_rows(source, OBSERVATION_HEADER)
+    for row_no, (t, lon_deg, lat_deg, h, p, T) in enumerate(rows, start=1):
+        try:
+            observations.append(
+                Observation(
+                    t=t, lon=math.radians(lon_deg), lat=math.radians(lat_deg), h=h, p=p, T=T
+                )
+            )
+        except AtmosphereError as err:
+            raise ParseError(f"observation row {row_no}: {err}") from err
+    return observations
+
+
+def _observations_outcome(load, text):
+    """Every field of every record as bytes; or the error type and message."""
+    try:
+        observations = load(text)
+    except AtmosphereError as err:
+        return type(err), str(err)
+    return array(
+        "d", itertools.chain.from_iterable((o.t, o.lon, o.lat, o.h, o.p, o.T) for o in observations)
+    ).tobytes()
+
+
+ISSPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+LINE_BREAKS = [c for c in ISSPACE if len(f"a{c}b".splitlines()) == 2] + ["\r\n"]
+PADDING = [c for c in ISSPACE if len(f"a{c}b".splitlines()) == 1]
+# Tokens the per-line rule rejects, and a few unusual ones it accepts.
+ODD_TOKENS = [
+    "", " ", "inf", "-inf", "nan", "NaN", "Infinity", "1_0", "1e", ".", "+", "-", "e5",
+    ".e1", "1.2.3", "1 2", "0x10", "1e5e5", "1d5", "\u0661", "\uff11", "5\u00b2", "1,",
+    "1e999", "-1e999", "-0.0", "+.5", "5.", "1E-400", "007",
+]
+
+
+@st.composite
+def decorated(draw, text):
+    """``text`` re-rendered: padded numbers, blank lines, other line breaks, bad lines."""
+    header, *rows = (line.split(",") for line in text.splitlines())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pad, blank = draw(st.sampled_from([(0.0, 0.0), (0.1, 0.1), (0.5, 0.3)]))
+    breaks = draw(st.sampled_from([["\n"], ["\r\n"], LINE_BREAKS]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2]))):
+        if not rows or draw(st.integers(0, 9)) == 0:
+            header = [draw(st.sampled_from(["t_s", "lon", "", "x"])), *header[1:]]
+            continue
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["token", "token", "drop", "extra"]))
+        if kind == "token":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        elif kind == "drop":
+            row.pop()
+        else:
+            row.append(draw(st.sampled_from(["0.0", ""])))
+
+    def padding(rate):
+        return "".join(rng.choice(PADDING) for _ in range(3) if rng.random() < rate)
+
+    lines = [header]
+    for row in rows:
+        while rng.random() < blank:
+            lines.append([padding(0.5)])
+        lines.append([padding(pad) + token + padding(pad) for token in row])
+    body = "".join(",".join(line) + rng.choice(breaks) for line in lines)
+    return body if draw(st.booleans()) else body[: -len(rng.choice(breaks))].rstrip("\r\n")
+
+
+def _observation_file(rng, n):
+    rows = [
+        [
+            rng.uniform(0.0, 86_400.0),
+            rng.uniform(-400.0, 400.0),
+            95.0 if rng.random() < 0.02 else rng.uniform(-90.0, 90.0),
+            rng.uniform(-500.0, 12_000.0),
+            -5.0 if rng.random() < 0.02 else rng.uniform(2e4, 1.1e5),
+            rng.uniform(200.0, 320.0),
+        ]
+        for _ in range(n)
+    ]
+    return grid_file([",".join(map(repr, row)) for row in rows], header=OBSERVATION_HEADER)
+
+
+@st.composite
+def observation_texts(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return draw(decorated(_observation_file(rng, rng.randint(0, 12))))
+
+
+# Block sizes that put every line, a few lines or the whole file in one block.
+BLOCK_CHARS = st.sampled_from([1, 50, 400, offset_field._BLOCK_CHARS])
+
+
+class TestParseDifferential:
+    """The chunked parse against the line-by-line one: same bytes, or same error and message."""
+
+    def test_whitespace_literal_is_every_isspace_character(self):
+        assert offset_field._WHITESPACE == ISSPACE
+        assert len(ISSPACE) == 29
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_texts().flatmap(decorated), BLOCK_CHARS)
+    def test_load_grid_matches_reference(self, text, block_chars):
+        with mock.patch.object(offset_field, "_BLOCK_CHARS", block_chars):
+            got = _load_outcome(load_grid, text)
+        assert got == _load_outcome(reference_load_grid, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(observation_texts(), BLOCK_CHARS)
+    def test_load_observations_matches_reference(self, text, block_chars):
+        with mock.patch.object(offset_field, "_BLOCK_CHARS", block_chars):
+            got = _observations_outcome(load_observations, text)
+        assert got == _observations_outcome(reference_load_observations, text)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1.0,2.0,3.0,4.0", "expected 5 fields, got 4"),
+            ("1.0,2.0,3.0,4.0,5.0,", "expected 5 fields, got 6"),
+            ("1.0,2.0,3.0,nan,5.0", "'nan' is not a plain decimal number"),
+            ("1.0,2.0,3.0,4.0,1 5", "'1 5' is not a plain decimal number"),
+            ("1.0,2.0,3.0,4.0,\u0665", "'\u0665' is not a plain decimal number"),
+        ],
+    )
+    def test_bad_line_past_the_first_block(self, bad, message):
+        rows = [f"{k}.0,1.5,2.5,3.5,4.5" for k in range(20_000)]
+        rows[15_000] = bad
+        rows[12_000] = "\x1f 7.0\u3000,1.5,2.5,3.5,4.5\xa0"
+        text = grid_file(rows)
+        assert text.index(f"\n{bad}\n") > offset_field._BLOCK_CHARS
+        with pytest.raises(ParseError, match=f"^line 15002: {re.escape(message)}$"):
+            load_grid(text)
+        assert _load_outcome(load_grid, text) == _load_outcome(reference_load_grid, text)
+
+    def test_parse_memory_is_bounded_by_the_block(self):
+        rows = [
+            f"{t!r},{lon!r},{lat!r},{lon / 7 - 20!r},{lat * 13.5 + 0.25!r}"
+            for t in range(0, 8 * 3600, 3600)
+            for lon in range(0, 360, 5)
+            for lat in range(-90, 91, 2)
+        ]
+        text = grid_file(rows)
+        tracemalloc.start()
+        try:
+            values = offset_field._parse_values(text, GRID_HEADER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2.1 MB of values; a row-tuple parse of the same file peaks at 16 MB.
+        assert len(values) == 5 * len(rows)
+        assert peak < 10e6
 
 
 class TestLoadObservations:
