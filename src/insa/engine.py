@@ -22,7 +22,7 @@ from .constants import (
     validate_offsets,
 )
 from .errors import OutOfValidityRange
-from .geodesy import GeodeticPosition, d_geopotential_d_geodetic, geodetic_to_geopotential
+from .geodesy import GeodeticPosition, _geopotential_slope, _to_geopotential
 from .offset_field import OffsetField
 from .static_atmosphere import _column_anchors, gradients_of_state, state_at_geopotential
 
@@ -66,7 +66,7 @@ class QuasiStaticModel:
         # Validated once, against the model bounds; the anchors are then
         # built without a second check against the package defaults.
         offsets = self.offsets_at(t, position.lon, position.lat)
-        H = geodetic_to_geopotential(position.h)
+        H = _to_geopotential(position.h)  # h was checked with the position
         return state_at_geopotential(H, _column_anchors(offsets))
 
     def query(self, t: float, position: GeodeticPosition) -> AtmosphericState:
@@ -96,5 +96,5 @@ class QuasiStaticModel:
         if key != (t, position.lon, position.lat, position.h):
             state = self._solve(t, position)
         dp_dH, dT_dH, drho_dH = gradients_of_state(state)
-        H_dot = d_geopotential_d_geodetic(position.h) * h_dot
+        H_dot = _geopotential_slope(position.h) * h_dot
         return PropertyRates(dp_dH * H_dot, dT_dH * H_dot, drho_dH * H_dot)

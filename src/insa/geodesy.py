@@ -55,10 +55,21 @@ class GeodeticPosition:
         object.__setattr__(self, "lon", check_position(self.lon, self.lat, self.h))
 
 
+def _to_geopotential(h: float) -> float:
+    """``geodetic_to_geopotential`` for an h already checked, as positions are."""
+    return RE * h / (RE + h)
+
+
+def _geopotential_slope(h: float) -> float:
+    """``d_geopotential_d_geodetic`` for an h already checked, as positions are."""
+    ratio = RE / (RE + h)
+    return ratio * ratio
+
+
 def geodetic_to_geopotential(h: float) -> float:
     """Geopotential altitude H for geodetic altitude h, both in metres."""
     check_altitude(h)
-    return RE * h / (RE + h)
+    return _to_geopotential(h)
 
 
 def geopotential_to_geodetic(H: float) -> float:
@@ -71,5 +82,4 @@ def geopotential_to_geodetic(H: float) -> float:
 def d_geopotential_d_geodetic(h: float) -> float:
     """Slope dH/dh of the conversion at geodetic altitude h."""
     check_altitude(h)
-    ratio = RE / (RE + h)
-    return ratio * ratio
+    return _geopotential_slope(h)

@@ -26,7 +26,7 @@ from .constants import (
     validate_offsets,
 )
 from .errors import AtmosphereError, NonPhysical, NotInTroposphere, OutOfValidityRange
-from .geodesy import check_position, geodetic_to_geopotential
+from .geodesy import _to_geopotential, check_position
 from .static_atmosphere import TISA_MSL_TOL, _hp_below, _pressure_below, solve_tisa_msl
 
 # Observations this close to the tropopause are rejected rather than
@@ -70,7 +70,7 @@ def identify_offsets(obs: Observation) -> Offsets:
             for a tropospheric observation).
     """
     # Station altitude to geopotential, pressure to pressure altitude.
-    H = geodetic_to_geopotential(obs.h)
+    H = _to_geopotential(obs.h)  # h was checked with the observation
     Hp = _hp_below(obs.p)
     if Hp > HP_TROP - TROPOPAUSE_MARGIN:
         where = (
