@@ -11,8 +11,10 @@ def newton(a: float, c: float, *, tol: float, max_iter: int = 50) -> tuple[float
     """Root u > 0 of u + a*ln(u) = c by Halley iteration from u = c - a*ln(c).
 
     Stops once the step magnitude drops below ``tol`` and returns the root
-    together with the number of iterations used.  An iterate that leaves
-    u > 0 or turns non-finite, or an exhausted budget, raises NoConvergence.
+    together with the number of iterations used.  A Halley step that would
+    leave 0 < u < inf (a warm column with a small c overshoots past zero)
+    is replaced by a Newton step on ln(u), which keeps u positive.  An
+    exhausted budget, a flat slope or an overflow raises NoConvergence.
     """
     u = c
     try:
@@ -21,12 +23,12 @@ def newton(a: float, c: float, *, tol: float, max_iter: int = 50) -> tuple[float
             f = u + a * math.log(u) - c
             s = u + a  # u*f'(u); u*u*f''(u) is -a
             step = 2.0 * f * u * s / (2.0 * s * s + a * f)
+            if not 0.0 < u - step < math.inf:
+                step = u - u * math.exp(-f / s)
             u -= step
             if abs(step) < tol:
                 return u, iteration
-            if not math.isfinite(u):
-                break
-    except (ValueError, ZeroDivisionError):  # ln(u) at u <= 0, or a flat slope
+    except (ValueError, ZeroDivisionError, OverflowError):  # ln(c) at c <= 0, a flat slope
         pass
     raise NoConvergence(
         f"no root of u + a*ln(u) = c for a={a!r}, c={c!r} within {max_iter}"

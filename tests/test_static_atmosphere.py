@@ -25,7 +25,8 @@ from insa import (
     temperature_from_hp,
     vertical_gradients,
 )
-from insa import solvers, static_atmosphere
+from insa import geodetic_to_geopotential, solvers, static_atmosphere
+from insa.static_atmosphere import TISA_MSL_TOL
 from insa.constants import (
     BETA_T_BELOW,
     DEFAULT_OFFSET_BOUNDS as BOX,
@@ -417,6 +418,26 @@ class TestSolver:
     def test_no_root_in_domain_raises(self, c):
         with pytest.raises(NoConvergence):
             solvers.newton(0.1, c, tol=1e-14)
+
+    def test_warm_column_overshoot_finds_the_root(self):
+        # The mean sea level walk of identify_offsets(Observation(0, 0, 0,
+        # -44022.0, 101325.0, 400.0)): a Halley step from c - a*ln(c) lands
+        # at u <= 0 here.
+        T_isa, delta_T = T0, 400.0 - T0
+        H = geodetic_to_geopotential(-44022.0)
+        a, c = delta_T / T_isa, 1.0 - BETA_T_BELOW * H / T_isa
+        assert a == pytest.approx(0.388, abs=1e-3) and c == pytest.approx(4.0e-5, rel=0.01)
+        w = solve_tisa_msl(T_isa, H, delta_T) / T_isa
+        assert abs(w + a * math.log(w) - c) <= TISA_MSL_TOL / T_isa
+
+    def test_warm_columns_with_small_c_converge(self):
+        rng = np.random.default_rng(23)
+        tol = TISA_MSL_TOL / T0
+        a_values = rng.uniform(0.1, 0.25, 3000)
+        c_values = np.exp(rng.uniform(math.log(1e-15), math.log(2.0), 3000))
+        for a, c in zip(a_values.tolist(), c_values.tolist()):
+            u, _ = solvers.newton(a, c, tol=tol)
+            assert abs(u + a * math.log(u) - c) <= tol, (a, c)
 
 
 class TestFigureProperties:
