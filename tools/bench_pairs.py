@@ -13,8 +13,9 @@ machine's speed falls on both alike.  Each metric is then printed with
 the parent's median and interquartile range, the change's median, the
 change in percent, the number of pairs in which the change was better
 and the bound ``BENCHMARK.json`` sets for it.  ``--out FILE`` also writes
-all of it, every run included, as JSON with the git shas and the Python
-version.  Standard library only; ``perfbench/`` is run, never imported.
+all of it, every run included with its ``#`` lines (speed factors,
+unscaled throughput, failed ratio), as JSON with the git shas and the
+Python version.  Standard library only; ``perfbench/`` is run, never imported.
 """
 
 from __future__ import annotations
@@ -50,19 +51,30 @@ def _unpack(ref: str, into: Path) -> None:
         tar.extractall(into)
 
 
+def parse_run_output(stdout: str) -> dict:
+    """A run's JSON result line, with its ``#`` lines kept under ``"notes"``.
+
+    The ``#`` lines carry what the metrics leave out: the speed factors
+    that scaled them, the unscaled throughput and the failed ratio.
+    """
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["notes"] = [line[1:].strip() for line in lines if line.startswith("#")]
+    return result
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run from ``tree``: its JSON result line."""
+    """One benchmark run from ``tree``: its parsed output."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
+    if done.returncode != 0 or not done.stdout.strip():
         raise SystemExit(
             f"{' '.join(command)} in {tree} exited {done.returncode}:\n{done.stderr}"
         )
-    return json.loads(lines[-1])
+    return parse_run_output(done.stdout)
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
