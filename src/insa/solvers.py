@@ -13,8 +13,9 @@ def newton(a: float, c: float, *, tol: float, max_iter: int = 50) -> tuple[float
     Stops once the step magnitude drops below ``tol`` and returns the root
     together with the number of iterations used.  A Halley step that would
     leave 0 < u < inf (a warm column with a small c overshoots past zero)
-    is replaced by a Newton step on ln(u), which keeps u positive.  An
-    exhausted budget, a flat slope or an overflow raises NoConvergence.
+    is replaced by a Newton step on ln(u), which keeps u positive.  A
+    non-finite iterate, an exhausted budget, a flat slope or an overflow
+    raises NoConvergence.
     """
     u = c
     try:
@@ -25,10 +26,12 @@ def newton(a: float, c: float, *, tol: float, max_iter: int = 50) -> tuple[float
             step = 2.0 * f * u * s / (2.0 * s * s + a * f)
             if not 0.0 < u - step < math.inf:
                 step = u - u * math.exp(-f / s)
+                if not math.isfinite(step):  # u or c is NaN or infinite
+                    break
             u -= step
             if abs(step) < tol:
                 return u, iteration
-    except (ValueError, ZeroDivisionError, OverflowError):  # ln(c) at c <= 0, a flat slope
+    except (ValueError, ZeroDivisionError, OverflowError):  # ln(c <= 0), flat slope, exp overflow
         pass
     raise NoConvergence(
         f"no root of u + a*ln(u) = c for a={a!r}, c={c!r} within {max_iter}"
