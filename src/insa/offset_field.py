@@ -57,7 +57,10 @@ _WHITESPACE = (
 )
 _SPACES = str.maketrans(_WHITESPACE, " " * len(_WHITESPACE))
 _NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE, ")  # deletes them
-_BLOCK_CHARS = 1 << 18  # text parsed at once: bounds the parse's transient memory
+# Text parsed at once. It bounds the parse's transient memory; blocks of
+# 256k characters left about 0.9 MB more peak RSS in `insa identify --obs`
+# on 10k rows, as freed block buffers stayed in the heap.
+_BLOCK_CHARS = 1 << 15
 
 
 class OffsetField:
