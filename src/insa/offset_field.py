@@ -311,8 +311,8 @@ def _blocks(source: str) -> Iterator[tuple[int, list[str]]]:
     """``source.splitlines()`` in blocks of about ``_BLOCK_CHARS`` characters.
 
     Each block comes with the number of its first line.  A block ends
-    just after a ``\n``, which never splits a ``\r\n`` pair, so the blocks
-    hold the same lines as the whole text.
+    just after a line feed, which never splits a CR LF pair, so the
+    blocks hold the same lines as the whole text.
     """
     line_no, pos = 1, 0
     while pos < len(source):

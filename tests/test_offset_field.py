@@ -709,8 +709,9 @@ def decorated(draw, text):
         while rng.random() < blank:
             lines.append([padding(0.5)])
         lines.append([padding(pad) + token + padding(pad) for token in row])
-    body = "".join(",".join(line) + rng.choice(breaks) for line in lines)
-    return body if draw(st.booleans()) else body[: -len(rng.choice(breaks))].rstrip("\r\n")
+    body = "".join(",".join(line) + rng.choice(breaks) for line in lines[:-1])
+    body += ",".join(lines[-1])
+    return body + rng.choice(breaks) if draw(st.booleans()) else body
 
 
 def _observation_file(rng, n):
