@@ -43,18 +43,19 @@ class QuasiStaticModel:
     ``((t, lon, lat, h), state)`` pair; ``property_rates`` at exactly that
     point (float equality of all four coordinates) reuses the state instead
     of evaluating the field and solving the column a second time, so an
-    integrator calling both per step pays for one.  Errors are never
-    remembered.  The pair is replaced by a single attribute store and read
-    by a single attribute load, so a model shared between concurrent
+    integrator calling both per step pays for one.  The anchors of the
+    last offset pair are kept alike, as one ``(offsets, anchors)`` pair,
+    instead of going through the ``anchors()`` cache.  Errors are never
+    remembered.  Each pair is replaced by a single attribute store and
+    read by a single attribute load, so a model shared between concurrent
     trajectory integrators can at worst miss and recompute, never return
-    another point's state.  The memo takes no part in eq, repr or hash.
+    another point's state.  The memos take no part in eq, repr or hash.
     """
 
     field: OffsetField
     bounds: OffsetBounds = DEFAULT_OFFSET_BOUNDS
-    _last: tuple = dataclass_field(
-        default=(None, None), init=False, repr=False, compare=False
-    )
+    _last: tuple = dataclass_field(default=(None, None), init=False, repr=False, compare=False)
+    _column: tuple = dataclass_field(default=(None, None), init=False, repr=False, compare=False)
 
     def offsets_at(self, t: float, lon: float, lat: float) -> Offsets:
         """Field evaluation at a finite time, validated against the model bounds."""
@@ -66,8 +67,12 @@ class QuasiStaticModel:
         # Validated once, against the model bounds; the anchors are then
         # built without a second check against the package defaults.
         offsets = self.offsets_at(t, position.lon, position.lat)
+        key, column = self._column
+        if key != offsets:
+            column = _column_anchors.__wrapped__(offsets)
+            object.__setattr__(self, "_column", (offsets, column))
         H = _to_geopotential(position.h)  # h was checked with the position
-        return state_at_geopotential(H, _column_anchors(offsets))
+        return state_at_geopotential(H, column)
 
     def query(self, t: float, position: GeodeticPosition) -> AtmosphericState:
         """Atmospheric state at one time and geodetic position.

@@ -259,10 +259,17 @@ class GridField(OffsetField):
     seam.  Values are read through flat memoryviews of the grid's own
     arrays, which is much cheaper than indexing numpy element by element
     and adds no copy.
+
+    ``evaluate`` remembers the last strictly interior cell as its bounds,
+    denominators and flat corner indices, never values; a query strictly
+    inside it skips the bracketing, with the same bits.  Nodes, NaN and
+    out-of-domain input always take the full path.  One attribute store
+    replaces the memo, so a field shared between threads can at worst miss.
     """
 
     grid: OffsetGrid3D
     _flat: tuple[memoryview, memoryview] = dataclass_field(init=False, repr=False)
+    _cell: tuple = dataclass_field(default=(math.nan,) * 10, init=False, repr=False)  # NaN: no hit
 
     def __post_init__(self):
         grid = self.grid
@@ -274,15 +281,27 @@ class GridField(OffsetField):
         return type(self), (self.grid,)
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
-        grid = self.grid
-        i0, i1, wi = _bracket(grid.t_axis, t, "time")
-        j0, j1, wj = _bracket_periodic(grid.lon_axis, lon)
-        k0, k1, wk = _bracket(grid.lat_axis, lat, "latitude")
-        n_lat = len(grid.lat_axis)
-        row = len(grid.lon_axis) * n_lat
-        r00, r10 = i0 * row + j0 * n_lat, i1 * row + j0 * n_lat
-        r01, r11 = i0 * row + j1 * n_lat, i1 * row + j1 * n_lat
-        corners = (r00 + k0, r10 + k0, r01 + k0, r11 + k0, r00 + k1, r10 + k1, r01 + k1, r11 + k1)
+        t0, t1, x0, x1, y0, y1, dt, dx, dy, corners = self._cell
+        # 0 <= x0 < lon < x1 <= 2*pi, so normalize_longitude(lon) is lon.
+        if t0 < t < t1 and x0 < lon < x1 and y0 < lat < y1:
+            wi, wj, wk = (t - t0) / dt, (lon - x0) / dx, (lat - y0) / dy
+        else:
+            ts, xs, ys = self.grid.t_axis, self.grid.lon_axis, self.grid.lat_axis
+            i0, i1, wi = _bracket(ts, t, "time")
+            j0, j1, wj = _bracket_periodic(xs, lon)
+            k0, k1, wk = _bracket(ys, lat, "latitude")
+            n_lat = len(ys)
+            row = len(xs) * n_lat
+            r00, r10 = i0 * row + j0 * n_lat, i1 * row + j0 * n_lat
+            r01, r11 = i0 * row + j1 * n_lat, i1 * row + j1 * n_lat
+            corners = (r00 + k0, r10 + k0, r01 + k0, r11 + k0,
+                       r00 + k1, r10 + k1, r01 + k1, r11 + k1)
+            if i0 != i1 and j0 != j1 and k0 != k1:  # j1 == 0: the seam cell east of xs[-1]
+                x1 = xs[j1] if j1 else TWO_PI
+                dx = (xs[j1] if j1 else xs[0] + TWO_PI) - xs[j0]  # as the brackets divide
+                cell = (ts[i0], ts[i1], xs[j0], x1, ys[k0], ys[k1],
+                        ts[i1] - ts[i0], dx, ys[k1] - ys[k0], corners)
+                object.__setattr__(self, "_cell", cell)
         dT, dp = self._flat
         return Offsets(_trilerp(dT, corners, wi, wj, wk), _trilerp(dp, corners, wi, wj, wk))
 

@@ -361,6 +361,74 @@ class TestModelBounds:
         assert anchors(Offsets(4.0, -30.0)) is anchors(Offsets(4.0, -30.0))
 
 
+class AlternatingField(OffsetField):
+    """One offset pair at even whole seconds, another at odd ones."""
+
+    PAIRS = (Offsets(-12.0, 900.0), Offsets(25.0, -3000.0))
+
+    def evaluate(self, t, lon, lat):
+        return self.PAIRS[int(t) % 2]
+
+
+class TestColumnMemo:
+    """The model keeps the anchors of its last offset pair itself."""
+
+    def test_queries_leave_the_anchors_cache_alone(self):
+        models = grid_model(), constant_model(3.0, 100.0)
+        before = anchors.cache_info()
+        for model in models:
+            for t, pos, h_dot in grid_points(50, 11):
+                model.query(t, pos)
+                model.property_rates(t, pos, h_dot)
+        assert anchors.cache_info() == before
+
+    def test_public_anchors_still_cached(self):
+        offsets = Offsets(4.5, -35.0)
+        constant_model(*offsets).query(0.0, MSL)
+        assert anchors(offsets) is anchors(offsets)
+
+    def test_offsets_beyond_default_bounds_with_wider_model_bounds(self):
+        wide = OffsetBounds(-80.0, 80.0, -15000.0, 15000.0)
+        model = QuasiStaticModel(field=WarmField(), bounds=wide)
+        for h in (0.0, 5000.0, 15000.0, 5000.0):
+            pos = GeodeticPosition(lon=0.0, lat=0.0, h=h)
+            state = model.query(0.0, pos)
+            assert state.T == state.T_isa + 60.0
+            fresh = QuasiStaticModel(field=WarmField(), bounds=wide)
+            assert fresh.query(0.0, pos) == state
+            assert model.property_rates(0.0, pos, 4.0) == fresh.property_rates(0.0, pos, 4.0)
+
+    def test_two_offset_pairs_in_turn(self):
+        model = QuasiStaticModel(field=AlternatingField())
+        for i, h in enumerate((0.0, 0.0, 3000.0, 3000.0, 12500.0, 9000.0, -400.0)):
+            pos = GeodeticPosition(lon=0.1, lat=0.2, h=h)
+            column = anchors(AlternatingField.PAIRS[i % 2])
+            H = geodetic_to_geopotential(h)
+            t = float(i)
+            assert model.query(t, pos) == state_at_geopotential(H, column)
+            assert model.property_rates(t, pos, 6.0) == manual_rates(model, t, pos, 6.0)
+
+    def test_memos_not_part_of_value(self):
+        field = grid_model().field
+        used, fresh = QuasiStaticModel(field=field), QuasiStaticModel(field=field)
+        t, pos, h_dot = grid_points(1, 12)[0]
+        used.query(t, pos)
+        used.property_rates(t, pos, h_dot)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+    def test_pickled_with_warm_memos(self):
+        model = grid_model()
+        points = grid_points(40, 13)
+        for t, pos, h_dot in points[:10]:
+            model.query(t, pos)
+        copy = pickle.loads(pickle.dumps(model))
+        for t, pos, h_dot in points[9:]:  # the warm point first, then new ones
+            assert copy.property_rates(t, pos, h_dot) == model.property_rates(t, pos, h_dot)
+            assert copy.query(t, pos) == model.query(t, pos)
+
+
 def field_holding(kind, offsets):
     if kind == "constant":
         return ConstantField(offsets)

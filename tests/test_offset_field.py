@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 from array import array
+from contextlib import contextmanager
 from bisect import bisect_right
 from unittest import mock
 
@@ -419,6 +420,175 @@ class TestGridKernel:
         t, lon, lat = grid.t_axis[2], grid.lon_axis[3], grid.lat_axis[4]
         grid.delta_T[2, 3, 4] = 12.5
         assert field.evaluate(t, lon, lat).delta_T == 12.5
+
+
+def memo_grid():
+    """A small grid whose first longitude node is east of 0, so the seam
+    cell has a part west of it."""
+    rng = np.random.default_rng(71)
+    shape = (3, 5, 4)
+    return OffsetGrid3D(
+        t_axis=(0.0, 600.0, 1200.0),
+        lon_axis=(0.3, 1.5, 3.0, 4.5, 6.0),
+        lat_axis=(-1.0, -0.2, 0.4, 1.1),
+        delta_T=rng.uniform(-30.0, 30.0, shape),
+        delta_p=rng.uniform(-8000.0, 8000.0, shape),
+    )
+
+
+def outcome(field, t, lon, lat):
+    """The bits of the value, or the type and message of the error."""
+    try:
+        got = field.evaluate(t, lon, lat)
+    except AtmosphereError as err:
+        return type(err), str(err)
+    return got.delta_T.hex(), got.delta_p.hex()
+
+
+def fresh(grid, t, lon, lat):
+    """The outcome on a field that has never been queried."""
+    return outcome(GridField(grid), t, lon, lat)
+
+
+@contextmanager
+def counted_brackets():
+    """Yields the number of axis bracketings made so far in the block."""
+    with mock.patch.object(offset_field, "_bracket", wraps=offset_field._bracket) as a, \
+            mock.patch.object(
+                offset_field, "_bracket_periodic", wraps=offset_field._bracket_periodic
+            ) as b:
+        yield lambda: a.call_count + b.call_count
+
+
+_MEMO_GRID = memo_grid()
+# Values a walk may jump to on each axis: nodes and their neighbours, the
+# domain edges and beyond, the seam from both sides, non-finite values.
+MEMO_SPECIALS = tuple(
+    (
+        *axis,
+        *(math.nextafter(v, math.inf) for v in axis),
+        *(math.nextafter(v, -math.inf) for v in axis),
+        *extra,
+        math.nan,
+        math.inf,
+        -math.inf,
+    )
+    for axis, extra in (
+        (_MEMO_GRID.t_axis, (-1.0, 1300.0, 1e-300)),
+        (_MEMO_GRID.lon_axis, (0.0, -0.0, 1e-300, -1e-12, -0.1, math.nextafter(TWO_PI, 0.0), TWO_PI,
+                    TWO_PI + 0.1, TWO_PI + 6.1, -TWO_PI, -0.2 - TWO_PI)),
+        (_MEMO_GRID.lat_axis, (-1.2, 1.2, -math.pi / 2.0, math.pi / 2.0, 2.0)),
+    )
+)
+MEMO_RANGES = ((-10.0, 1210.0), (-1.0, 7.5), (-1.02, 1.12))
+
+
+@st.composite
+def walks(draw):
+    """A short path of small steps; now and then one query has one
+    coordinate set to a special value, and the walk goes on from the path."""
+    point = [draw(st.floats(lo, hi)) for lo, hi in MEMO_RANGES]
+    path = []
+    for _ in range(draw(st.integers(1, 12))):
+        query = list(point)
+        if draw(st.integers(0, 3)) == 0:
+            axis = draw(st.integers(0, 2))
+            query[axis] = draw(st.sampled_from(MEMO_SPECIALS[axis]))
+        path.append(tuple(query))
+        for axis, (lo, hi) in enumerate(MEMO_RANGES):
+            point[axis] += draw(st.floats(-0.01, 0.01)) * (hi - lo)
+    return path
+
+
+class TestCellMemo:
+    """GridField's last-cell memo saves the bracketing and changes no result."""
+
+    INSIDE = (250.0, 2.0, 0.1)  # in the cell (0, 600) x (1.5, 3.0) x (-0.2, 0.4)
+
+    def warmed(self):
+        grid = memo_grid()
+        field = GridField(grid)
+        assert outcome(field, *self.INSIDE) == fresh(grid, *self.INSIDE)
+        return grid, field
+
+    def test_hit_skips_the_bracketing(self):
+        grid, field = self.warmed()
+        queries = [(1e-9, 1.5000001, -0.19), (599.0, 2.9, 0.39), (300.0, 2.2, 0.0)]
+        expected = [fresh(grid, *q) for q in queries]
+        with counted_brackets() as bracketings:
+            assert [outcome(field, *q) for q in queries] == expected
+            assert bracketings() == 0
+
+    def test_seam_east_hits_and_west_misses(self):
+        grid = memo_grid()
+        field = GridField(grid)
+        east = [(100.0, 6.1, 0.5), (110.0, 6.2, 0.6), (120.0, math.nextafter(TWO_PI, 0.0), 0.7)]
+        west = (130.0, 0.1, 0.8)  # the same seam cell, west of the first node
+        expected = [fresh(grid, *q) for q in [*east, west]]
+        got = [outcome(field, *east[0])]
+        with counted_brackets() as bracketings:
+            got += [outcome(field, *q) for q in east[1:]]
+            assert bracketings() == 0
+            got.append(outcome(field, *west))
+            assert bracketings() == 3
+        assert got == expected
+
+    @pytest.mark.parametrize("query", [
+        (0.0, 2.0, 0.1), (600.0, 2.0, 0.1),
+        (250.0, 1.5, 0.1), (250.0, 3.0, 0.1),
+        (250.0, 2.0, -0.2), (250.0, 2.0, 0.4),
+    ])
+    def test_node_after_a_hit(self, query):
+        grid, field = self.warmed()
+        with counted_brackets() as bracketings:
+            got = outcome(field, *query)
+            assert bracketings() == 3
+        assert got == fresh(grid, *query)
+
+    @pytest.mark.parametrize("query", [
+        (-1.0, 2.0, 0.1), (1300.0, 2.0, 0.1), (250.0, 2.0, 1.2), (250.0, 2.0, -1.5),
+    ])
+    def test_out_of_domain_after_a_hit(self, query):
+        grid, field = self.warmed()
+        got = outcome(field, *query)
+        assert got[0] is OutOfDomain
+        assert got == fresh(grid, *query)
+
+    @pytest.mark.parametrize("query, error", [
+        ((math.nan, 2.0, 0.1), OutOfDomain),
+        ((250.0, math.nan, 0.1), OutOfValidityRange),
+        ((250.0, 2.0, math.nan), OutOfDomain),
+        ((250.0, math.inf, 0.1), OutOfValidityRange),
+        ((250.0, -math.inf, 0.1), OutOfValidityRange),
+    ])
+    def test_non_finite_after_a_hit(self, query, error):
+        grid, field = self.warmed()
+        got = outcome(field, *query)
+        assert got[0] is error
+        assert got == fresh(grid, *query)
+
+    def test_written_value_seen_after_a_hit(self):
+        grid, field = self.warmed()
+        query = (300.0, 2.2, 0.0)
+        before = outcome(field, *query)
+        grid.delta_T[0, 1, 1] = 12.5  # a corner of the remembered cell
+        with counted_brackets() as bracketings:
+            got = outcome(field, *query)
+            assert bracketings() == 0
+        assert got == fresh(grid, *query)
+        assert got[0] != before[0] and got[1] == before[1]
+
+    def test_memo_not_in_repr(self):
+        grid, field = self.warmed()
+        assert "_cell" not in repr(field)
+        assert repr(field) == repr(GridField(grid))
+
+    @settings(max_examples=300, deadline=None)
+    @given(walks())
+    def test_walk_matches_fresh_fields(self, path):
+        grid, field = self.warmed()
+        for query in path:
+            assert outcome(field, *query) == fresh(grid, *query), query
 
 
 def grid_file(rows, header="t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"):
