@@ -54,8 +54,12 @@ class QuasiStaticModel:
 
     field: OffsetField
     bounds: OffsetBounds = DEFAULT_OFFSET_BOUNDS
-    _last: tuple = dataclass_field(default=(None, None), init=False, repr=False, compare=False)
-    _column: tuple = dataclass_field(default=(None, None), init=False, repr=False, compare=False)
+    _last: tuple = dataclass_field(
+        default=(None, None), init=False, repr=False, compare=False
+    )
+    _column: tuple = dataclass_field(
+        default=(None, None), init=False, repr=False, compare=False
+    )
 
     def offsets_at(self, t: float, lon: float, lat: float) -> Offsets:
         """Field evaluation at a finite time, validated against the model bounds."""

@@ -260,10 +260,9 @@ class GridField(OffsetField):
     arrays, which is much cheaper than indexing numpy element by element
     and adds no copy.
 
-    ``evaluate`` remembers the last strictly interior cell as its bounds,
-    denominators and flat corner indices, never values; a query strictly
-    inside it skips the bracketing, with the same bits.  Nodes, NaN and
-    out-of-domain input always take the full path.  One attribute store
+    ``evaluate`` remembers the last cell it was strictly inside (bounds,
+    denominators, corner indices; no values) and skips the bracketing for
+    a query strictly inside it, with the same bits.  One attribute store
     replaces the memo, so a field shared between threads can at worst miss.
     """
 

@@ -103,8 +103,9 @@ def _geopotential_below(Hp: float, Hp_msl: float, T_isa_msl: float, delta_T: flo
 def _column_anchors(offsets: Offsets) -> AtmosphereAnchors:
     """Anchors of an offset pair already validated by the caller.
 
-    The cache behind ``anchors``; a caller that owns other bounds (such as
-    ``QuasiStaticModel.bounds``) validates against them and comes here.
+    The cache behind ``anchors``.  ``QuasiStaticModel`` validates against
+    its own bounds and calls the uncached ``__wrapped__``, as it keeps the
+    anchors of its last offset pair itself.
     """
     delta_T = offsets.delta_T
     p_msl = P0 + offsets.delta_p

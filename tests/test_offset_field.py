@@ -4,10 +4,11 @@ import pickle
 import random
 import re
 import sys
+import threading
 import tracemalloc
 from array import array
-from contextlib import contextmanager
 from bisect import bisect_right
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -475,8 +476,10 @@ MEMO_SPECIALS = tuple(
     )
     for axis, extra in (
         (_MEMO_GRID.t_axis, (-1.0, 1300.0, 1e-300)),
-        (_MEMO_GRID.lon_axis, (0.0, -0.0, 1e-300, -1e-12, -0.1, math.nextafter(TWO_PI, 0.0), TWO_PI,
-                    TWO_PI + 0.1, TWO_PI + 6.1, -TWO_PI, -0.2 - TWO_PI)),
+        (_MEMO_GRID.lon_axis, (
+            0.0, -0.0, 1e-300, -1e-12, -0.1, math.nextafter(TWO_PI, 0.0), TWO_PI,
+            TWO_PI + 0.1, TWO_PI + 6.1, -TWO_PI, -0.2 - TWO_PI,
+        )),
         (_MEMO_GRID.lat_axis, (-1.2, 1.2, -math.pi / 2.0, math.pi / 2.0, 2.0)),
     )
 )
@@ -582,6 +585,35 @@ class TestCellMemo:
         grid, field = self.warmed()
         assert "_cell" not in repr(field)
         assert repr(field) == repr(GridField(grid))
+
+    def test_shared_between_threads(self):
+        # Four walks through one field, each mostly in its own cells, so the
+        # threads keep replacing each other's memo; none may see another's.
+        grid = memo_grid()
+        field = GridField(grid)
+        paths = [
+            [(t0 + i, lon0 + 0.001 * i, lat0 + 0.0005 * i) for i in range(400)]
+            for t0, lon0, lat0 in ((10.0, 0.35, -0.9), (650.0, 1.6, 0.5), (200.0, 6.01, 0.0),
+                                   (700.0, 3.2, -0.1))
+        ]
+        expected = [[fresh(grid, *q) for q in path] for path in paths]
+        got = [[] for _ in paths]
+
+        def walk(i):
+            got[i].extend(outcome(field, *q) for q in paths[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk, args=(i,)) for i in range(len(paths))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
     @settings(max_examples=300, deadline=None)
     @given(walks())
