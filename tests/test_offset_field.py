@@ -592,7 +592,7 @@ class TestCellMemo:
         grid = memo_grid()
         field = GridField(grid)
         paths = [
-            [(t0 + i, lon0 + 0.001 * i, lat0 + 0.0005 * i) for i in range(400)]
+            [(t0 + 0.2 * i, lon0 + 0.0002 * i, lat0 + 0.0001 * i) for i in range(2000)]
             for t0, lon0, lat0 in ((10.0, 0.35, -0.9), (650.0, 1.6, 0.5), (200.0, 6.01, 0.0),
                                    (700.0, 3.2, -0.1))
         ]
