@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import sys
 from pathlib import Path
@@ -120,6 +121,34 @@ def cmd_props(hp, h_geo, h_geopot, dt, dp, grid_path, t, lon, lat, in_km, fmt):
         click.echo(f"{label:5s} = {value:.6g} {unit}")
 
 
+# Batch output goes to stdout in slices of this many rows: one write per
+# slice rather than per row, with no more than a slice held as text.
+_ROWS_PER_WRITE = 1024
+
+
+def _write_records(records, as_csv: bool) -> None:
+    """Write batch identification records to stdout, as csv or human lines."""
+    buffer = io.StringIO()
+    if as_csv:
+        write = csv.writer(buffer, lineterminator="\n").writerow
+        write(("t_s", "lon_deg", "lat_deg", "delta_t_k", "delta_p_pa", "error"))
+    else:
+        write = buffer.write
+    for start in range(0, len(records), _ROWS_PER_WRITE):
+        for t, lon, lat, offsets, error in records[start:start + _ROWS_PER_WRITE]:
+            lon_deg, lat_deg = math.degrees(lon), math.degrees(lat)
+            if as_csv:  # csv writes a float as its repr
+                write((t, lon_deg, lat_deg, "", "", str(error)) if offsets is None else (
+                    t, lon_deg, lat_deg, offsets.delta_T, offsets.delta_p, ""))
+            else:
+                result = f"error: {error}" if offsets is None else (
+                    f"delta_T = {offsets.delta_T:.6g} K, delta_p = {offsets.delta_p:.6g} Pa")
+                write(f"t={t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}: {result}\n")
+        sys.stdout.write(buffer.getvalue())
+        buffer.seek(0)
+        buffer.truncate()
+
+
 @main.command("identify")
 @click.option("--h", type=float, default=None, help="Station geodetic altitude.")
 @click.option("--p", type=float, default=None, help="Measured pressure [Pa].")
@@ -142,21 +171,7 @@ def cmd_identify(h, p, temp, t_s, lon, lat, obs_path, in_km, fmt):
         if h is not None or p is not None or temp is not None:
             raise click.UsageError("--obs cannot be combined with --h/--p/--t")
         observations = load_observations(Path(obs_path).read_text(encoding="utf-8"))
-        records = identify_offsets_batch(observations)
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        if fmt == "csv":
-            writer.writerow(("t_s", "lon_deg", "lat_deg", "delta_t_k", "delta_p_pa", "error"))
-        for rec in records:
-            lon_deg, lat_deg = math.degrees(rec.lon), math.degrees(rec.lat)
-            o = rec.offsets
-            if fmt == "csv":
-                result = ("", "", str(rec.error)) if o is None else (
-                    repr(o.delta_T), repr(o.delta_p), "")
-                writer.writerow((repr(rec.t), repr(lon_deg), repr(lat_deg)) + result)
-            else:
-                result = f"error: {rec.error}" if o is None else (
-                    f"delta_T = {o.delta_T:.6g} K, delta_p = {o.delta_p:.6g} Pa")
-                click.echo(f"t={rec.t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}: {result}")
+        _write_records(identify_offsets_batch(observations), fmt == "csv")
         return
     if h is None or p is None or temp is None:
         raise click.UsageError("give --h, --p, and --t (or --obs FILE)")

@@ -10,9 +10,7 @@ level yields the pressure offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .constants import (
     BETA_T_BELOW,
@@ -34,10 +32,7 @@ from .static_atmosphere import TISA_MSL_TOL, _hp_below, _pressure_below, solve_t
 TROPOPAUSE_MARGIN = 1.0  # [m]
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One ground measurement record."""
-
+class _ObservationFields(NamedTuple):
     t: float    # time [s]
     lon: float  # longitude [rad], normalized to [0, 2*pi)
     lat: float  # latitude [rad]
@@ -45,14 +40,29 @@ class Observation:
     p: float    # measured pressure [Pa]
     T: float    # measured temperature [K]
 
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise OutOfValidityRange(f"observation time must be finite, got {self.t!r}")
-        object.__setattr__(self, "lon", check_position(self.lon, self.lat, self.h))
-        if not (math.isfinite(self.p) and self.p > 0.0):
-            raise NonPhysical(f"measured pressure must be positive, got {self.p!r}")
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise NonPhysical(f"measured temperature must be positive, got {self.T!r}")
+
+class Observation(_ObservationFields):
+    """One ground measurement record, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, t: float, lon: float, lat: float, h: float, p: float, T: float):
+        if not math.isfinite(t):
+            raise OutOfValidityRange(f"observation time must be finite, got {t!r}")
+        lon = check_position(lon, lat, h)
+        if not (math.isfinite(p) and p > 0.0):
+            raise NonPhysical(f"measured pressure must be positive, got {p!r}")
+        if not (math.isfinite(T) and T > 0.0):
+            raise NonPhysical(f"measured temperature must be positive, got {T!r}")
+        return tuple.__new__(cls, (t, lon, lat, h, p, T))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build from an iterable of the six fields, checked like the constructor.
+
+        ``_replace`` builds through ``_make``, so it checks too.
+        """
+        return cls(*iterable)
 
 
 def identify_offsets(obs: Observation) -> Offsets:
@@ -107,8 +117,7 @@ def _onto_bound(x: float, low: float, high: float, tol: float) -> float:
     return inside if abs(inside - x) <= tol else x
 
 
-@dataclass(frozen=True)
-class IdentificationRecord:
+class IdentificationRecord(NamedTuple):
     """Per-observation result of a batch identification.
 
     Exactly one of ``offsets`` and ``error`` is set.
@@ -126,9 +135,7 @@ def identify_offsets_batch(observations: Iterable[Observation]) -> list[Identifi
     results: list[IdentificationRecord] = []
     for obs in observations:
         try:
-            results.append(
-                IdentificationRecord(obs.t, obs.lon, obs.lat, offsets=identify_offsets(obs))
-            )
+            results.append(IdentificationRecord(obs.t, obs.lon, obs.lat, identify_offsets(obs)))
         except AtmosphereError as err:
-            results.append(IdentificationRecord(obs.t, obs.lon, obs.lat, error=err))
+            results.append(IdentificationRecord(obs.t, obs.lon, obs.lat, None, err))
     return results

@@ -447,22 +447,15 @@ def load_grid(source: str) -> OffsetGrid3D:
 def load_observations(source: str) -> list[Observation]:
     """Parse an observation file into observation records."""
     values = _parse_values(source, OBSERVATION_HEADER)
-    observations = []
-    rows = zip(*[iter(values)] * 6)
-    for row_no, (t, lon_deg, lat_deg, h, p, T) in enumerate(rows, start=1):
-        try:
+    observations: list[Observation] = []
+    try:
+        for t, lon_deg, lat_deg, h, p, T in zip(*[iter(values)] * 6):
             observations.append(
-                Observation(
-                    t=t,
-                    lon=math.radians(lon_deg),
-                    lat=math.radians(lat_deg),
-                    h=h,
-                    p=p,
-                    T=T,
-                )
+                Observation(t, math.radians(lon_deg), math.radians(lat_deg), h, p, T)
             )
-        except AtmosphereError as err:
-            raise ParseError(f"observation row {row_no}: {err}") from err
+    except AtmosphereError as err:
+        # The row that failed is the one after the last appended.
+        raise ParseError(f"observation row {len(observations) + 1}: {err}") from err
     return observations
 
 
