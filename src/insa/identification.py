@@ -33,6 +33,8 @@ TROPOPAUSE_MARGIN = 1.0  # [m]
 
 
 class _ObservationFields(NamedTuple):
+    """The fields of an ``Observation``, which adds the checks."""
+
     t: float    # time [s]
     lon: float  # longitude [rad], normalized to [0, 2*pi)
     lat: float  # latitude [rad]

@@ -1,14 +1,29 @@
+import contextlib
+import csv
+import io
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import insa
-from insa import Offsets, anchors, geopotential_from_hp, pressure_from_hp
-from insa.cli import main
+from insa import (
+    Offsets,
+    anchors,
+    geodetic_to_geopotential,
+    geopotential_from_hp,
+    identify_offsets_batch,
+    load_observations,
+    pressure_from_hp,
+    state_at_geopotential,
+)
+from insa.cli import _ROWS_PER_WRITE, main
 
 GRID_TEXT = (
     "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa\n"
@@ -238,6 +253,92 @@ class TestIdentify:
         result = runner.invoke(main, ["identify", "--obs", str(obs_file)])
         assert result.exit_code == 5
         assert "not a plain decimal number" in result.stderr
+
+
+def reference_identify_output(records, fmt):
+    """The row-by-row batch writer that the sliced one replaced, kept as its reference."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    if fmt == "csv":
+        writer.writerow(("t_s", "lon_deg", "lat_deg", "delta_t_k", "delta_p_pa", "error"))
+    for rec in records:
+        lon_deg, lat_deg = math.degrees(rec.lon), math.degrees(rec.lat)
+        o = rec.offsets
+        if fmt == "csv":
+            result = ("", "", str(rec.error)) if o is None else (
+                repr(o.delta_T), repr(o.delta_p), "")
+            writer.writerow((repr(rec.t), repr(lon_deg), repr(lat_deg)) + result)
+        else:
+            result = f"error: {rec.error}" if o is None else (
+                f"delta_T = {o.delta_T:.6g} K, delta_p = {o.delta_p:.6g} Pa")
+            click.echo(f"t={rec.t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}: {result}")
+
+
+def _seam_observation_text(n_rows, seed=17):
+    """Forward-modelled rows, with rows above the tropopause on both sides of
+    each slice seam and a few rows that fail in other ways."""
+    rng = random.Random(seed)
+    seams = {k * _ROWS_PER_WRITE + d for k in (1, 2) for d in (-1, 0)}
+    lines = ["t_s,lon_deg,lat_deg,h_m,p_pa,t_k"]
+    for i in range(n_rows):
+        t, lon, lat = 30.0 * i, rng.uniform(0.0, 360.0), rng.uniform(-80.0, 80.0)
+        h = rng.uniform(-300.0, 3000.0)
+        if i in seams:  # NotInTroposphere; its message holds a comma
+            p, T = pressure_from_hp(rng.uniform(11_500.0, 16_000.0)), 220.0
+        elif i % 301 == 150:  # NonPhysical: the column cannot reach mean sea level
+            h, p, T = -45_000.0, 101325.0, 300.0
+        elif i % 301 == 7:  # OutOfValidityRange: delta_T past the default bound
+            state = state_at_geopotential(geodetic_to_geopotential(h), Offsets(45.0, 0.0))
+            p, T = state.p, state.T + 15.0
+        else:
+            o = Offsets(rng.uniform(-25.0, 25.0), rng.uniform(-4000.0, 4000.0))
+            state = state_at_geopotential(geodetic_to_geopotential(h), o)
+            p, T = state.p, state.T
+        lines.append(f"{t!r},{lon!r},{lat!r},{h!r},{p!r},{T!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestIdentifySlices:
+    """``identify --obs`` writes in slices of ``_ROWS_PER_WRITE`` rows, with the
+    bytes of the row-by-row writer."""
+
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    @pytest.mark.parametrize(
+        "n_rows", [1, _ROWS_PER_WRITE, 2 * _ROWS_PER_WRITE + _ROWS_PER_WRITE // 2]
+    )
+    def test_bytes_match_the_row_by_row_writer(self, runner, tmp_path, fmt, n_rows):
+        text = _seam_observation_text(n_rows)
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(text)
+        expected = io.StringIO()
+        with contextlib.redirect_stdout(expected):
+            reference_identify_output(identify_offsets_batch(load_observations(text)), fmt)
+        result = runner.invoke(main, ["identify", "--obs", str(obs_file), "--format", fmt])
+        assert result.exit_code == 0
+        assert result.stdout == expected.getvalue()
+        assert result.stdout.count("\n") == n_rows + (fmt == "csv")
+
+    def test_seam_rows_cover_every_error_kind(self):
+        records = identify_offsets_batch(load_observations(_seam_observation_text(2560)))
+        kinds = {type(rec.error).__name__ for rec in records if rec.error is not None}
+        assert kinds == {"NotInTroposphere", "NonPhysical", "OutOfValidityRange"}
+        for i in (_ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, 2 * _ROWS_PER_WRITE - 1):
+            assert type(records[i].error).__name__ == "NotInTroposphere"
+            assert "," in str(records[i].error)
+
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_one_stdout_write_per_slice(self, tmp_path, monkeypatch, fmt):
+        writes = []
+
+        class CountingStdout(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(_seam_observation_text(2 * _ROWS_PER_WRITE + 1))
+        monkeypatch.setattr(sys, "stdout", CountingStdout())
+        main.main(["identify", "--obs", str(obs_file), "--format", fmt], standalone_mode=False)
+        assert len(writes) == 3
 
 
 class TestConvert:

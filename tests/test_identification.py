@@ -58,6 +58,37 @@ class TestObservation:
         with pytest.raises(NonPhysical):
             Observation(t=0.0, lon=0.0, lat=0.0, h=0.0, p=math.nan, T=280.0)
 
+    def test_replace_checks(self):
+        with pytest.raises(NonPhysical, match="measured pressure must be positive, got -1.0"):
+            STANDARD_MSL_OBS._replace(p=-1.0)
+        assert STANDARD_MSL_OBS._replace(lon=-1.0).lon == pytest.approx(2.0 * math.pi - 1.0)
+
+    def test_make_normalizes_longitude(self):
+        obs = Observation._make([0, 7.0, 0.1, 0, 101325, 288.15])
+        assert type(obs) is Observation
+        assert obs.lon == 7.0 - 2.0 * math.pi
+        assert obs == Observation(0, 7.0, 0.1, 0, 101325, 288.15)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (math.nan, 0.0, 0.0, 0.0, 90000.0, 280.0),
+            (0.0, math.inf, 0.0, 0.0, 90000.0, 280.0),
+            (0.0, 0.0, 2.0, 0.0, 90000.0, 280.0),
+            (0.0, 0.0, 0.0, -0.6 * RE, 90000.0, 280.0),
+            (0.0, 0.0, 0.0, 0.0, -5.0, 280.0),
+            (0.0, 0.0, 0.0, 0.0, 90000.0, 0.0),
+        ],
+        ids=["t", "lon", "lat", "h", "p", "T"],
+    )
+    def test_make_raises_as_the_constructor(self, fields):
+        with pytest.raises((OutOfValidityRange, NonPhysical)) as made:
+            Observation._make(fields)
+        with pytest.raises((OutOfValidityRange, NonPhysical)) as built:
+            Observation(*fields)
+        assert type(made.value) is type(built.value)
+        assert str(made.value) == str(built.value)
+
 
 class TestIdentifyOffsets:
     def test_standard_msl_observation(self):

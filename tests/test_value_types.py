@@ -1,8 +1,10 @@
-"""Value semantics of the result types: immutable, picklable tuples.
+"""Value semantics of the value types: immutable, picklable tuples.
 
-``Offsets``, ``AtmosphericState``, ``PropertyRates`` and
-``AtmosphereAnchors`` are NamedTuples: they print as they did as frozen
-dataclasses, and compare and hash as the plain tuple of their fields.
+``Offsets``, ``AtmosphericState``, ``PropertyRates``,
+``AtmosphereAnchors``, ``Observation`` and ``IdentificationRecord`` are
+NamedTuples: they print as they did as frozen dataclasses, and compare and
+hash as the plain tuple of their fields.  ``Observation`` still checks its
+fields, on ``_make`` and ``_replace`` too (see ``test_identification.py``).
 """
 
 import pickle
@@ -12,6 +14,8 @@ import pytest
 from insa import (
     AtmosphereAnchors,
     AtmosphericState,
+    IdentificationRecord,
+    Observation,
     Offsets,
     PropertyRates,
     VerticalGradients,
@@ -22,6 +26,8 @@ OFFSETS = Offsets(1.5, -250.0)
 STATE = AtmosphericState(1000.0, 1001.5, 89876.25, 283.5, 281.65, 1.104)
 RATES = PropertyRates(-60.0, -0.039, -0.0058)
 ANCHORS = AtmosphereAnchors(OFFSETS, 21.0, 288.0, 101075.0, 11030.0, 218.15, -1981.0, 20000.5)
+OBSERVATION = Observation(900.0, 0.5, 0.7, 350.0, 98000.0, 290.0)
+RECORD = IdentificationRecord(900.0, 0.5, 0.7, OFFSETS)
 
 # Each value, the repr it must keep, and one field to replace.
 CASES = {
@@ -47,6 +53,17 @@ CASES = {
         " T_isa_msl=288.0, p_msl=101075.0, H_trop=11030.0, T_trop=218.15, H_min=-1981.0,"
         " H_max=20000.5)",
         "H_max",
+    ),
+    "Observation": (
+        OBSERVATION,
+        "Observation(t=900.0, lon=0.5, lat=0.7, h=350.0, p=98000.0, T=290.0)",
+        "T",
+    ),
+    "IdentificationRecord": (
+        RECORD,
+        "IdentificationRecord(t=900.0, lon=0.5, lat=0.7,"
+        " offsets=Offsets(delta_T=1.5, delta_p=-250.0), error=None)",
+        "t",
     ),
 }
 NAMES = sorted(CASES)
@@ -103,6 +120,9 @@ def test_field_names_and_order():
     assert AtmosphereAnchors._fields == (
         "offsets", "Hp_msl", "T_isa_msl", "p_msl", "H_trop", "T_trop", "H_min", "H_max",
     )
+    assert Observation._fields == ("t", "lon", "lat", "h", "p", "T")
+    assert IdentificationRecord._fields == ("t", "lon", "lat", "offsets", "error")
+    assert IdentificationRecord._field_defaults == {"offsets": None, "error": None}
 
 
 def test_tuple_semantics():
@@ -112,6 +132,10 @@ def test_tuple_semantics():
     assert (delta_T, delta_p) == (OFFSETS.delta_T, OFFSETS.delta_p) == (OFFSETS[0], OFFSETS[1])
     assert len(STATE) == 6 and list(STATE)[-1] == STATE.rho
     assert Offsets(1.0, 2.0) < Offsets(1.0, 3.0)
+    assert OBSERVATION == (900.0, 0.5, 0.7, 350.0, 98000.0, 290.0)
+    assert hash(OBSERVATION) == hash(tuple(OBSERVATION))
+    t, lon, lat, offsets, error = RECORD
+    assert (t, lon, lat, offsets, error) == (900.0, 0.5, 0.7, OFFSETS, None)
     # Distinct types with equal values compare equal, as tuples do.
     assert PropertyRates(1.0, 2.0, 3.0) == VerticalGradients(1.0, 2.0, 3.0)
 
