@@ -318,10 +318,11 @@ class TestIdentifySlices:
         assert result.stdout.count("\n") == n_rows + (fmt == "csv")
 
     def test_seam_rows_cover_every_error_kind(self):
-        records = identify_offsets_batch(load_observations(_seam_observation_text(2560)))
+        n = _ROWS_PER_WRITE
+        records = identify_offsets_batch(load_observations(_seam_observation_text(2 * n + n // 2)))
         kinds = {type(rec.error).__name__ for rec in records if rec.error is not None}
         assert kinds == {"NotInTroposphere", "NonPhysical", "OutOfValidityRange"}
-        for i in (_ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, 2 * _ROWS_PER_WRITE - 1):
+        for i in (n - 1, n, 2 * n - 1, 2 * n):
             assert type(records[i].error).__name__ == "NotInTroposphere"
             assert "," in str(records[i].error)
 
