@@ -387,8 +387,12 @@ def load_grid(source: str) -> OffsetGrid3D:
         ParseError: malformed header, rows, numbers, coordinate ranges,
             or duplicate nodes.
         NonMonotonicAxis: an axis whose values are listed in descending
-            order (probably authored with a reversed axis convention).
+            order (probably authored with a reversed axis convention),
+            or that has fewer than two values or a non-finite one.
         IncompleteGrid: a missing (t, lon, lat) combination.
+        NonPhysical: a node whose offsets take the column to zero
+            kelvin, such as ``delta_t_k = -300``.
+        OutOfValidityRange: a non-finite node value.
     """
     import numpy as np
 
@@ -402,45 +406,39 @@ def load_grid(source: str) -> OffsetGrid3D:
             raise ParseError(f"longitude {float(lon_deg[i])} deg outside [0, 360)")
         raise ParseError(f"latitude {float(lat_deg[i])} deg outside [-90, 90]")
 
-    axes_deg, indices = [], []
+    axes_deg, positions = [], []
     for k, name in enumerate(("time", "longitude", "latitude")):
-        column = data[:, k].tolist()
-        order = list(dict.fromkeys(column))  # first appearance; -0.0 and 0.0 are one value
-        if len(order) >= 2 and all(a > b for a, b in zip(order, order[1:])):
+        # Sorted axis, each value's first row and each row's position. With
+        # return_index the sort is stable, so of -0.0 and 0.0 the first written stays.
+        axis, first, position = np.unique(data[:, k], return_index=True, return_inverse=True)
+        if len(axis) >= 2 and (np.diff(first) < 0).all():  # first seen in descending order
             raise NonMonotonicAxis(
                 f"{name} axis values appear in descending order; list them ascending"
             )
-        axes_deg.append(sorted(order))
-        position = {v: i for i, v in enumerate(axes_deg[-1])}
-        indices.append(np.fromiter(map(position.__getitem__, column), np.intp, len(column)))
+        axes_deg.append(axis.tolist())
+        positions.append(position)
 
     # One flat C-order node index per row; a whole grid has one row per node.
-    shape = tuple(len(axis) for axis in axes_deg)
-    flat = np.ravel_multi_index(indices, shape)
-    if math.prod(shape) != len(data) or np.bincount(flat).max() > 1:
-        # The first repeated row in the file, else the first missing node
-        # in C order. No per-node array: a bad file's axes can span far
-        # more nodes than it has rows.
-        seen: set[int] = set()
-        for row, node in zip(data.tolist(), flat.tolist()):
-            if node in seen:
-                raise ParseError(f"duplicate node t={row[0]}, lon={row[1]}, lat={row[2]}")
-            seen.add(node)
-        missing = next(i for i in range(len(data) + 1) if i not in seen)
+    # Every array here has one entry per row, none per node: a bad file's
+    # axes can span far more nodes than it has rows.
+    shape = tuple(map(len, axes_deg))
+    nodes, rows = np.unique(np.ravel_multi_index(positions, shape), return_index=True)
+    if len(nodes) < len(data):  # the first row in the file that repeats a node
+        t, lon, lat = data[np.setdiff1d(np.arange(len(data)), rows)[0], :3].tolist()
+        raise ParseError(f"duplicate node t={t}, lon={lon}, lat={lat}")
+    if len(nodes) < math.prod(shape):  # the first node missing in C order
+        # nodes[i] - i never falls, so nodes[i] == i holds on a prefix only.
+        missing = np.count_nonzero(nodes == np.arange(len(nodes)))
         t, lon, lat = (a[i] for a, i in zip(axes_deg, np.unravel_index(missing, shape)))
         raise IncompleteGrid(f"missing node t={t}, lon={lon}, lat={lat}")
-    # Plain assignment, not a weighted bincount, so -0.0 values stay -0.0.
-    values = np.empty((2, flat.size))
-    values[0][flat] = data[:, 3]
-    values[1][flat] = data[:, 4]
 
     t_axis, lon_axis_deg, lat_axis_deg = axes_deg
     return OffsetGrid3D(
         t_axis=tuple(t_axis),
-        lon_axis=tuple(math.radians(v) for v in lon_axis_deg),
-        lat_axis=tuple(math.radians(v) for v in lat_axis_deg),
-        delta_T=values[0].reshape(shape),
-        delta_p=values[1].reshape(shape),
+        lon_axis=tuple(map(math.radians, lon_axis_deg)),
+        lat_axis=tuple(map(math.radians, lat_axis_deg)),
+        delta_T=data[rows, 3].reshape(shape),  # a gather: -0.0 stays -0.0
+        delta_p=data[rows, 4].reshape(shape),
     )
 
 

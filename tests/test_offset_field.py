@@ -704,12 +704,21 @@ class TestLoadGrid:
         with pytest.raises(ParseError):
             load_grid(grid_file(["0.0,10.0,95.0,0.0,0.0"]))
 
-    def test_sparse_axes_allocate_nothing_per_node(self):
+    @pytest.mark.parametrize(
+        "repeated, error, message",
+        [
+            ((), IncompleteGrid, r"^missing node t=0\.0, lon=0\.0, lat=-37\.25$"),
+            ((7,), ParseError, r"^duplicate node t=7\.0, lon=7\.0, lat=-35\.75$"),
+        ],
+        ids=["missing", "duplicate"],
+    )
+    def test_sparse_axes_allocate_nothing_per_node(self, repeated, error, message):
         # 300 rows on a diagonal span 300**3 = 27M nodes; 8 bytes a node would be 216 MB.
         rows = [f"{i}.0,{i},{i / 4 - 37.5},0.0,0.0" for i in range(300)]
+        rows += [rows[i] for i in repeated]
         tracemalloc.start()
         try:
-            with pytest.raises(IncompleteGrid, match=r"^missing node t=0\.0, lon=0\.0, lat=-37\.25$"):
+            with pytest.raises(error, match=message):
                 load_grid(grid_file(rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1090,6 +1099,22 @@ class TestGridFromObservations:
         )
         assert grid.delta_T[1, 1, 1] == pytest.approx(10.0, abs=1e-7)
         assert grid.delta_p[1, 1, 1] == pytest.approx(-2500.0, abs=1e-7)
+
+    def test_longitude_binned_around_the_circle(self):
+        # 350 deg is 20 deg from the 10 deg node across the seam, 150 deg from 200 deg.
+        lon_axis = (math.radians(10.0), math.radians(200.0))
+        obs = [
+            Observation(t=t, lon=lon, lat=lat, h=0.0, p=101325.0, T=288.15)
+            for t in self.t_axis
+            for lon in lon_axis
+            for lat in self.lat_axis
+        ]
+        state = state_at_geopotential(0.0, Offsets(10.0, 0.0))
+        obs.append(Observation(t=0.0, lon=math.radians(350.0), lat=self.lat_axis[0],
+                               h=0.0, p=state.p, T=state.T))
+        grid = grid_from_observations(obs, self.t_axis, lon_axis, self.lat_axis)
+        assert grid.delta_T[0, 0, 0] == pytest.approx(5.0, abs=1e-7)
+        assert grid.delta_T[0, 1, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_node(self):
         obs = [Observation(t=0.0, lon=self.lon_axis[0], lat=self.lat_axis[0],
