@@ -43,13 +43,17 @@ class QuasiStaticModel:
     ``((t, lon, lat, h), state)`` pair; ``property_rates`` at exactly that
     point (float equality of all four coordinates) reuses the state instead
     of evaluating the field and solving the column a second time, so an
-    integrator calling both per step pays for one.  The anchors of the
-    last offset pair are kept alike, as one ``(offsets, anchors)`` pair,
-    instead of going through the ``anchors()`` cache.  Errors are never
-    remembered.  Each pair is replaced by a single attribute store and
-    read by a single attribute load, so a model shared between concurrent
-    trajectory integrators can at worst miss and recompute, never return
-    another point's state.  The memos take no part in eq, repr or hash.
+    integrator calling both per step pays for one.  Each point checks that
+    t is finite and evaluates the field; the offset pair is validated
+    against ``bounds`` only when it is not an ``Offsets`` equal to the last
+    pair that passed, whose anchors are kept alike, as one ``(offsets,
+    anchors)`` pair, instead of going through the ``anchors()`` cache.  A
+    NaN pair never equals it, and ``offsets_at`` validates on every call.
+    Errors are never remembered.  Each pair is replaced by a single
+    attribute store and read by a single attribute load, so a model shared
+    between concurrent trajectory integrators can at worst miss and
+    recompute, never return another point's state.  The memos take no part
+    in eq, repr or hash.
     """
 
     field: OffsetField
@@ -63,17 +67,18 @@ class QuasiStaticModel:
 
     def offsets_at(self, t: float, lon: float, lat: float) -> Offsets:
         """Field evaluation at a finite time, validated against the model bounds."""
+        return validate_offsets(self._evaluate(t, lon, lat), self.bounds)
+
+    def _evaluate(self, t: float, lon: float, lat: float):
         if not math.isfinite(t):
             raise OutOfValidityRange(f"time must be finite, got {t!r}")
-        return validate_offsets(self.field.evaluate(t, lon, lat), self.bounds)
+        return self.field.evaluate(t, lon, lat)
 
     def _solve(self, t: float, position: GeodeticPosition) -> AtmosphericState:
-        # Validated once, against the model bounds; the anchors are then
-        # built without a second check against the package defaults.
-        offsets = self.offsets_at(t, position.lon, position.lat)
+        offsets = self._evaluate(t, position.lon, position.lat)
         key, column = self._column
-        if key != offsets:
-            column = _column_anchors.__wrapped__(offsets)
+        if type(offsets) is not Offsets or key != offsets:
+            column = _column_anchors.__wrapped__(validate_offsets(offsets, self.bounds))
             object.__setattr__(self, "_column", (offsets, column))
         H = _to_geopotential(position.h)  # h was checked with the position
         return state_at_geopotential(H, column)

@@ -16,12 +16,26 @@ def newton(a: float, c: float, *, tol: float, max_iter: int = 50) -> tuple[float
     is replaced by a Newton step on ln(u), which keeps u positive.  A
     non-finite iterate, an exhausted budget, a flat slope or an overflow
     raises NoConvergence.
+
+    Near the double root of a cold column, a < 0 with c - c_min < 1e-3
+    where c_min = a*(ln(-a) - 1) is the least value of the left side, the
+    slope vanishes and rounding in f = u + a*ln(u) - c keeps the step from
+    settling.  There the iteration starts on the physical branch u > -a
+    (positive temperature), at u = -a + sqrt(2*(-a)*(c - c_min)) from the
+    quadratic expansion about u = -a, and also stops once |f| <= 2*ulp(c),
+    as small as f can be resolved; the result is the root on that branch
+    to within what one ulp of c allows.  c < c_min has no root and raises.
     """
     u = c
     try:
-        u = c - a * math.log(c)
+        if a < 0.0 and (gap := c - a * (math.log(-a) - 1.0)) < 1e-3:
+            u, f_floor = math.sqrt(2.0 * -a * gap) - a, 2.0 * math.ulp(c)
+        else:
+            u, f_floor = c - a * math.log(c), 0.0
         for iteration in range(1, max_iter + 1):
             f = u + a * math.log(u) - c
+            if abs(f) <= f_floor:
+                return u, iteration
             s = u + a  # u*f'(u); u*u*f''(u) is -a
             step = 2.0 * f * u * s / (2.0 * s * s + a * f)
             if not 0.0 < u - step < math.inf:

@@ -26,21 +26,8 @@ from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .constants import (
-    BETA_T_ABOVE,
-    BETA_T_BELOW,
-    G0,
-    GBR,
-    HP_MAX,
-    HP_MIN,
-    HP_TROP,
-    P0,
-    R_AIR,
-    T0,
-    T_ISA_TROP,
-    AtmosphericState,
-    Offsets,
-    check_pressure_altitude,
-    validate_offsets,
+    BETA_T_ABOVE, BETA_T_BELOW, G0, GBR, HP_MAX, HP_MIN, HP_TROP, P0, R_AIR, T0, T_ISA_TROP,
+    AtmosphericState, Offsets, check_pressure_altitude, validate_offsets,
 )
 from .errors import NoConvergence, NonPhysical, OutOfValidityRange
 from .solvers import newton
@@ -192,20 +179,8 @@ def geopotential_from_hp(Hp: float, column: ColumnSpec) -> float:
     return a.H_trop + a.T_trop / T_ISA_TROP * (Hp - HP_TROP)
 
 
-def hp_from_geopotential(H: float, column: ColumnSpec, *, max_iter: int = 50) -> float:
-    """Pressure altitude Hp at geopotential altitude H for one column.
-
-    The stratosphere inverts in closed form; the troposphere, with
-    u = T_isa(Hp)/T_isa_msl, solves u + a*ln(u) = c for a = delta_T/T_isa_msl
-    and c = 1 + betaT*H/T_isa_msl, a shift H + Hp_msl at delta_T = 0.
-
-    Raises:
-        OutOfValidityRange: H outside the image of the validity band.
-        NoConvergence: iteration budget exhausted (never expected in range),
-            or a result past its layer or the validity band by more than
-            HP_INVERSION_TOL; a smaller overshoot is moved onto the edge.
-    """
-    a = _as_anchors(column)
+def _state_at(H: float, a: AtmosphereAnchors, max_iter: int = 50) -> AtmosphericState:
+    # The one H -> Hp inversion: span test, layer branch, solve, edge snap.
     if not a.H_min <= H <= a.H_max:
         raise OutOfValidityRange(
             f"geopotential altitude {H!r} m outside [{a.H_min}, {a.H_max}] m"
@@ -221,12 +196,12 @@ def hp_from_geopotential(H: float, column: ColumnSpec, *, max_iter: int = 50) ->
         tol = HP_INVERSION_TOL * -BETA_T_BELOW / t
         u, _ = newton(delta_T / t, 1.0 + BETA_T_BELOW * H / t, tol=tol, max_iter=max_iter)
         Hp, low, high = a.Hp_msl + t / BETA_T_BELOW * (u - 1.0), HP_MIN, HP_TROP
-    if low <= Hp <= high:
-        return Hp
-    inside = min(max(Hp, low), high)
-    if abs(inside - Hp) > HP_INVERSION_TOL:
-        raise NoConvergence(f"inversion landed at Hp={Hp!r} m, outside [{low}, {high}] m")
-    return inside
+    if not low <= Hp <= high:
+        inside = min(max(Hp, low), high)
+        if abs(inside - Hp) > HP_INVERSION_TOL:
+            raise NoConvergence(f"inversion landed at Hp={Hp!r} m, outside [{low}, {high}] m")
+        Hp = inside
+    return _state(Hp, H, delta_T)
 
 
 def _state(Hp: float, H: float, delta_T: float) -> AtmosphericState:
@@ -239,6 +214,23 @@ def _state(Hp: float, H: float, delta_T: float) -> AtmosphericState:
     return AtmosphericState(Hp, H, p, T, T_isa, p / (R_AIR * T))
 
 
+def hp_from_geopotential(H: float, column: ColumnSpec, *, max_iter: int = 50) -> float:
+    """Pressure altitude Hp at geopotential altitude H for one column.
+
+    The stratosphere inverts in closed form; the troposphere, with
+    u = T_isa(Hp)/T_isa_msl, solves u + a*ln(u) = c for a = delta_T/T_isa_msl
+    and c = 1 + betaT*H/T_isa_msl, a shift H + Hp_msl at delta_T = 0.  It is
+    the ``Hp`` of ``state_at_geopotential``, whose inversion it shares.
+
+    Raises:
+        OutOfValidityRange: H outside the image of the validity band.
+        NoConvergence: iteration budget exhausted (never expected in range),
+            or a result past its layer or the validity band by more than
+            HP_INVERSION_TOL; a smaller overshoot is moved onto the edge.
+    """
+    return _state_at(H, _as_anchors(column), max_iter).Hp
+
+
 def state_at_geopotential(H: float, column: ColumnSpec) -> AtmosphericState:
     """Full atmospheric state at geopotential altitude H for one column.
 
@@ -246,8 +238,7 @@ def state_at_geopotential(H: float, column: ColumnSpec) -> AtmosphericState:
     it, and density closes the bundle through the perfect-gas law, so the
     returned state satisfies p = rho*R*T by construction.
     """
-    a = _as_anchors(column)
-    return _state(hp_from_geopotential(H, a), H, a.offsets.delta_T)
+    return _state_at(H, _as_anchors(column))
 
 
 def state_at_pressure_altitude(Hp: float, column: ColumnSpec) -> AtmosphericState:
@@ -277,20 +268,21 @@ def vertical_gradients(H: float, column: ColumnSpec) -> VerticalGradients:
     density gradient differentiates the perfect-gas law.  Exactly at the
     tropopause the troposphere-side values are returned.
     """
-    return gradients_of_state(state_at_geopotential(H, column))
+    return VerticalGradients(*gradients_of_state(state_at_geopotential(H, column)))
 
 
-def gradients_of_state(st: AtmosphericState) -> VerticalGradients:
+def gradients_of_state(st: AtmosphericState) -> tuple[float, float, float]:
     """Vertical gradients of a state already solved by ``state_at_geopotential``.
 
     Closed form in the state's own values, so a caller holding the state
-    pays no second column solve.
+    pays no second column solve; a plain ``(dp_dH, dT_dH, drho_dH)`` tuple,
+    which ``vertical_gradients`` names.
     """
     beta = BETA_T_BELOW if st.Hp <= HP_TROP else BETA_T_ABOVE
     dp_dH = -st.rho * G0
     dT_dH = beta * st.T_isa / st.T
     drho_dH = dp_dH / (R_AIR * st.T) - st.p * dT_dH / (R_AIR * st.T * st.T)
-    return VerticalGradients(dp_dH, dT_dH, drho_dH)
+    return dp_dH, dT_dH, drho_dH
 
 
 def solve_tisa_msl(T_isa: float, H: float, delta_T: float, *, max_iter: int = 50) -> float:

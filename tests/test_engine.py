@@ -1,10 +1,14 @@
 import math
+import re
 import pickle
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import insa.engine
 
 from insa import (
     ConstantField,
@@ -27,7 +31,7 @@ from insa import (
     state_at_geopotential,
     vertical_gradients,
 )
-from insa.constants import R_AIR
+from insa.constants import R_AIR, validate_offsets
 
 MSL = GeodeticPosition(lon=0.0, lat=0.0, h=0.0)
 
@@ -427,6 +431,126 @@ class TestColumnMemo:
         for t, pos, h_dot in points[9:]:  # the warm point first, then new ones
             assert copy.property_rates(t, pos, h_dot) == model.property_rates(t, pos, h_dot)
             assert copy.query(t, pos) == model.query(t, pos)
+
+
+class ScriptedField(OffsetField):
+    """Another field's value, or what ``script[(t, lon, lat)]`` makes of it:
+    a NaN pair, a pair beyond the default bounds, or a plain tuple."""
+
+    def __init__(self, inner, script):
+        self.inner, self.script = inner, script
+
+    def evaluate(self, t, lon, lat):
+        o = self.inner.evaluate(t, lon, lat)
+        mode = self.script.get((t, lon, lat))
+        if mode == "nan":
+            return Offsets(math.nan, o.delta_p)
+        if mode == "out":
+            return Offsets(o.delta_T + 120.0, o.delta_p)
+        return tuple(o) if mode == "tuple" else o
+
+
+def outcome(call):
+    try:
+        return repr(call())
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def pipeline_state(field, t, pos):
+    """The public pipeline, with no memo of the model or of ``anchors()``."""
+    anchors.cache_clear()
+    offsets = QuasiStaticModel(field).offsets_at(t, pos.lon, pos.lat)
+    return state_at_geopotential(geodetic_to_geopotential(pos.h), offsets)
+
+
+def pipeline_rates(field, t, pos, h_dot):
+    anchors.cache_clear()
+    offsets = QuasiStaticModel(field).offsets_at(t, pos.lon, pos.lat)
+    g = vertical_gradients(geodetic_to_geopotential(pos.h), offsets)
+    H_dot = d_geopotential_d_geodetic(pos.h) * h_dot
+    return PropertyRates(g.dp_dH * H_dot, g.dT_dH * H_dot, g.drho_dH * H_dot)
+
+
+DELTA_T = st.floats(-50.0, 50.0)
+DELTA_P = st.floats(-15000.0, 15000.0)
+PAIRS = st.builds(Offsets, DELTA_T, DELTA_P)
+FIELDS = st.one_of(
+    st.builds(ConstantField, PAIRS),
+    st.builds(
+        lambda a, b: WaypointField((Waypoint(0.0, 0.0, 0.0, a), Waypoint(3600.0, 0.0, 0.0, b))),
+        PAIRS, PAIRS,
+    ),
+    st.builds(
+        lambda dT, dp: GridField(OffsetGrid3D(
+            t_axis=(0.0, 3600.0), lon_axis=(0.0, 1.0), lat_axis=(-0.5, 0.5),
+            delta_T=np.array(dT).reshape(2, 2, 2), delta_p=np.array(dp).reshape(2, 2, 2),
+        )),
+        st.lists(DELTA_T, min_size=8, max_size=8), st.lists(DELTA_P, min_size=8, max_size=8),
+    ),
+)
+# Few distinct coordinates, so pairs repeat; t = 7200 lies beyond the grid's
+# time axis, and h = -3000 m and 30 km outside every column's span.
+POINTS = [(t, lon, lat) for t in (0.0, 1800.0, 3600.0, 7200.0) for lon, lat in ((0.25, 0.0), (0.5, 0.25))]
+SCRIPTS = st.lists(
+    st.sampled_from(["same", "same", "nan", "out", "tuple"]),
+    min_size=len(POINTS), max_size=len(POINTS),
+).map(lambda modes: dict(zip(POINTS, modes)))
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(POINTS),
+        st.sampled_from([-3000.0, 0.0, 5000.0, 12000.0, 30000.0]),
+        st.sampled_from(["query", "rates", "both"]),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+class TestValidatedOncePerPair:
+    """The model validates a pair on a column memo miss only, and answers
+    every point as the public pipeline does, errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(FIELDS, SCRIPTS, STEPS)
+    def test_walk_matches_public_pipeline(self, inner, script, steps):
+        field = ScriptedField(inner, script)
+        model = QuasiStaticModel(field)
+        for (t, lon, lat), h, calls in steps:
+            pos = GeodeticPosition(lon, lat, h)
+            if calls != "rates":
+                assert outcome(lambda: model.query(t, pos)) == outcome(
+                    lambda: pipeline_state(field, t, pos))
+            if calls != "query":
+                assert outcome(lambda: model.property_rates(t, pos, 4.0)) == outcome(
+                    lambda: pipeline_rates(field, t, pos, 4.0))
+
+    @pytest.mark.parametrize("mode", ["nan", "out", "tuple"])
+    def test_rejected_after_a_hit_on_an_equal_pair(self, mode):
+        pos = GeodeticPosition(0.1, 0.2, 3000.0)
+        field = ScriptedField(ConstantField(Offsets(10.0, 0.0)), {(2.0, pos.lon, pos.lat): mode})
+        model = QuasiStaticModel(field)
+        model.query(0.0, pos)
+        model.query(1.0, pos)  # a hit
+        with pytest.raises(Exception) as expected:
+            validate_offsets(field.evaluate(2.0, pos.lon, pos.lat))
+        for call in (lambda: model.query(2.0, pos), lambda: model.property_rates(2.0, pos, 1.0)):
+            with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+                call()
+        assert model.query(3.0, pos) == pipeline_state(field, 3.0, pos)
+
+    def test_constant_field_flight_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(offsets, bounds=None):
+            calls.append(offsets)
+            return validate_offsets(offsets, bounds)
+
+        monkeypatch.setattr(insa.engine, "validate_offsets", counting)
+        model = constant_model(-7.5, 1200.0)
+        for t, pos, h_dot in grid_points(200, 14):
+            model.query(t, pos)
+            model.property_rates(t, pos, h_dot)
+        assert calls == [Offsets(-7.5, 1200.0)]
 
 
 def field_holding(kind, offsets):

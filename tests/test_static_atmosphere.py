@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from insa import (
     NoConvergence,
+    NonPhysical,
     NotInTroposphere,
     Observation,
     Offsets,
@@ -439,6 +440,27 @@ class TestSolver:
             u, _ = solvers.newton(a, c, tol=tol)
             assert abs(u + a * math.log(u) - c) <= tol, (a, c)
 
+
+    def test_cold_columns_near_the_double_root_converge(self):
+        # u + a*ln(u) has its least value c_min = a*(ln(-a) - 1) at u = -a;
+        # just above it the two roots nearly merge and the slope vanishes.
+        rng = np.random.default_rng(29)
+        tol = TISA_MSL_TOL / T0
+        a_values = rng.uniform(-0.999, -1e-6, 3000)
+        gaps = np.exp(rng.uniform(math.log(1e-17), math.log(1e-3), 3000))
+        for a, gap in zip(a_values.tolist(), gaps.tolist()):
+            c_min = a * (math.log(-a) - 1.0)
+            c = max(c_min + gap, math.nextafter(c_min, math.inf))
+            u, iterations = solvers.newton(a, c, tol=tol)
+            assert u > -a and iterations <= 6, (a, c)  # the positive-temperature root
+            assert abs(u + a * math.log(u) - c) <= 2.0 * math.ulp(c), (a, c)
+            T_isa = 250.0
+            H = (1.0 - c) * T_isa / BETA_T_BELOW
+            try:
+                w = solve_tisa_msl(T_isa, H, a * T_isa) / T_isa
+            except NonPhysical:  # c, recomputed from H, rounded onto or below c_min
+                continue
+            assert w > -a, (a, c)
 
 class TestFigureProperties:
     def test_parallel_lines_for_pure_pressure_offsets(self):
