@@ -182,9 +182,10 @@ def geopotential_from_hp(Hp: float, column: ColumnSpec) -> float:
 def _state_at(H: float, a: AtmosphereAnchors, max_iter: int = 50) -> AtmosphericState:
     # The one H -> Hp inversion: span test, layer branch, solve, edge snap.
     if not a.H_min <= H <= a.H_max:
+        o = a.offsets  # any pair equal to it, -0.0 for 0.0 say, names it alike
         raise OutOfValidityRange(
             f"geopotential altitude {H!r} m outside [{a.H_min}, {a.H_max}] m"
-            f" for offsets {a.offsets}"
+            f" for offsets {Offsets(float(o.delta_T) + 0.0, float(o.delta_p) + 0.0)}"
         )
     delta_T = a.offsets.delta_T
     if H > a.H_trop:

@@ -1,6 +1,6 @@
 import math
-import re
 import pickle
+import re
 import sys
 import threading
 
@@ -460,20 +460,17 @@ def outcome(call):
 def pipeline_state(field, t, pos):
     """The public pipeline, with no memo of the model or of ``anchors()``."""
     anchors.cache_clear()
-    offsets = QuasiStaticModel(field).offsets_at(t, pos.lon, pos.lat)
-    return state_at_geopotential(geodetic_to_geopotential(pos.h), offsets)
+    return manual_state(QuasiStaticModel(field), t, pos)
 
 
 def pipeline_rates(field, t, pos, h_dot):
     anchors.cache_clear()
-    offsets = QuasiStaticModel(field).offsets_at(t, pos.lon, pos.lat)
-    g = vertical_gradients(geodetic_to_geopotential(pos.h), offsets)
-    H_dot = d_geopotential_d_geodetic(pos.h) * h_dot
-    return PropertyRates(g.dp_dH * H_dot, g.dT_dH * H_dot, g.drho_dH * H_dot)
+    return manual_rates(QuasiStaticModel(field), t, pos, h_dot)
 
 
-DELTA_T = st.floats(-50.0, 50.0)
-DELTA_P = st.floats(-15000.0, 15000.0)
+# Signed zeros are drawn often: equal pairs that print differently.
+DELTA_T = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0))
+DELTA_P = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-15000.0, 15000.0))
 PAIRS = st.builds(Offsets, DELTA_T, DELTA_P)
 FIELDS = st.one_of(
     st.builds(ConstantField, PAIRS),
@@ -537,6 +534,24 @@ class TestValidatedOncePerPair:
             with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
                 call()
         assert model.query(3.0, pos) == pipeline_state(field, 3.0, pos)
+
+    def test_equal_pairs_name_their_column_alike(self):
+        # Offsets(-0.0, 100.0) == Offsets(0.0, 100.0): one column, whichever
+        # of the two built it, and one message naming it.
+        class SignedZeroField(OffsetField):
+            def evaluate(self, t, lon, lat):
+                return Offsets(-0.0 if t else 0.0, 100.0)
+
+        model = QuasiStaticModel(SignedZeroField())
+        high = GeodeticPosition(0.0, 0.0, 30000.0)  # above every column's span
+        for t in (1.0, 0.0, 1.0):
+            assert outcome(lambda: model.query(t, high)) == outcome(
+                lambda: pipeline_state(model.field, t, high))
+        a = anchors(Offsets(-0.0, 100.0))  # cached under the equal pair too
+        assert outcome(lambda: state_at_geopotential(3e4, Offsets(0.0, 100.0))) == (
+            f"OutOfValidityRange: geopotential altitude 30000.0 m outside [{a.H_min}, {a.H_max}] m"
+            " for offsets Offsets(delta_T=0.0, delta_p=100.0)"
+        )
 
     def test_constant_field_flight_validates_once(self, monkeypatch):
         calls = []
