@@ -18,6 +18,7 @@ from pathlib import Path
 import click
 
 from .constants import Offsets, validate_offsets
+from .engine import QuasiStaticModel
 from .errors import (
     AtmosphereError,
     EmptyNode,
@@ -78,7 +79,7 @@ def _resolve_offsets(dt, dp, grid_path, t, lon, lat) -> Offsets:
         if t is None or lon is None or lat is None:
             raise click.UsageError("--grid requires --time, --lon, and --lat")
         field = GridField(load_grid(Path(grid_path).read_text(encoding="utf-8")))
-        return field.evaluate(t, math.radians(lon), math.radians(lat))
+        return QuasiStaticModel(field).offsets_at(t, math.radians(lon), math.radians(lat))
     return Offsets(delta_T=dt or 0.0, delta_p=dp or 0.0)
 
 
@@ -210,10 +211,10 @@ _KINDS = ("h", "H", "Hp")
 @_domain_errors
 def cmd_convert(value, from_kind, to_kind, dt, dp, in_km, fmt):
     """Convert between geodetic, geopotential, and pressure altitude."""
+    value = _altitude_m(value, in_km)
     if not math.isfinite(value):
         raise OutOfValidityRange(f"altitude {value!r} must be finite")
-    offsets = Offsets(delta_T=dt, delta_p=dp)
-    value = _altitude_m(value, in_km)
+    offsets = validate_offsets(Offsets(delta_T=dt, delta_p=dp))
     if from_kind == "h":
         H = geodetic_to_geopotential(value)
     elif from_kind == "Hp":

@@ -39,30 +39,24 @@ class PropertyRates(NamedTuple):
 class QuasiStaticModel:
     """A weather field bound to the static column model.
 
-    ``query`` remembers the last point it solved, as one
-    ``((t, lon, lat, h), state)`` pair; ``property_rates`` at exactly that
-    point (float equality of all four coordinates) reuses the state instead
-    of evaluating the field and solving the column a second time, so an
-    integrator calling both per step pays for one.  Each point checks that
-    t is finite and evaluates the field; the offset pair is validated
-    against ``bounds`` only when it is not an ``Offsets`` equal to the last
-    pair that passed, whose anchors are kept alike, as one ``(offsets,
-    anchors)`` pair, instead of going through the ``anchors()`` cache.  A
-    NaN pair never equals it, and ``offsets_at`` validates on every call.
-    Errors are never remembered.  Each pair is replaced by a single
-    attribute store and read by a single attribute load, so a model shared
-    between concurrent trajectory integrators can at worst miss and
-    recompute, never return another point's state.  The memos take no part
-    in eq, repr or hash.
+    One memo, ``((t, lon, lat, h), offsets, anchors, state)``, holds the
+    last point solved by ``query`` or ``property_rates``.  A
+    ``property_rates`` call at exactly that point (float equality of all
+    four coordinates) reuses its state, and a point whose field value is
+    an ``Offsets`` equal to the memo's pair reuses its anchors without
+    validating the pair against ``bounds`` again; a NaN pair never equals
+    it, and ``offsets_at`` validates on every call.  The memo is replaced
+    by one attribute store after each successful solve and read by one
+    load, so errors are never remembered and a model shared between
+    concurrent trajectory integrators can at worst miss and recompute,
+    never return another point's state.  It takes no part in eq, repr or
+    hash.
     """
 
     field: OffsetField
     bounds: OffsetBounds = DEFAULT_OFFSET_BOUNDS
-    _last: tuple = dataclass_field(
-        default=(None, None), init=False, repr=False, compare=False
-    )
-    _column: tuple = dataclass_field(
-        default=(None, None), init=False, repr=False, compare=False
+    _memo: tuple = dataclass_field(
+        default=(None, None, None, None), init=False, repr=False, compare=False
     )
 
     def offsets_at(self, t: float, lon: float, lat: float) -> Offsets:
@@ -74,24 +68,20 @@ class QuasiStaticModel:
             raise OutOfValidityRange(f"time must be finite, got {t!r}")
         return self.field.evaluate(t, lon, lat)
 
-    def _solve(self, t: float, position: GeodeticPosition) -> AtmosphericState:
-        offsets = self._evaluate(t, position.lon, position.lat)
-        key, column = self._column
-        if type(offsets) is not Offsets or key != offsets:
-            column = _column_anchors.__wrapped__(validate_offsets(offsets, self.bounds))
-            object.__setattr__(self, "_column", (offsets, column))
-        H = _to_geopotential(position.h)  # h was checked with the position
-        return state_at_geopotential(H, column)
-
     def query(self, t: float, position: GeodeticPosition) -> AtmosphericState:
         """Atmospheric state at one time and geodetic position.
 
         Equivalent to the manual pipeline: evaluate the field, convert
         h to H, query the static column.
         """
-        state = self._solve(t, position)
+        offsets = self._evaluate(t, position.lon, position.lat)
+        _, key, column, _ = self._memo
+        if type(offsets) is not Offsets or key != offsets:
+            column = _column_anchors(validate_offsets(offsets, self.bounds))
+        H = _to_geopotential(position.h)  # h was checked with the position
+        state = state_at_geopotential(H, column)
         object.__setattr__(
-            self, "_last", ((t, position.lon, position.lat, position.h), state)
+            self, "_memo", ((t, position.lon, position.lat, position.h), offsets, column, state)
         )
         return state
 
@@ -106,9 +96,9 @@ class QuasiStaticModel:
         """
         if not math.isfinite(h_dot):
             raise OutOfValidityRange(f"climb rate must be finite, got {h_dot!r}")
-        key, state = self._last
-        if key != (t, position.lon, position.lat, position.h):
-            state = self._solve(t, position)
+        point, _, _, state = self._memo
+        if point != (t, position.lon, position.lat, position.h):
+            state = self.query(t, position)
         dp_dH, dT_dH, drho_dH = gradients_of_state(state)
         H_dot = _geopotential_slope(position.h) * h_dot
         return PropertyRates(dp_dH * H_dot, dT_dH * H_dot, drho_dH * H_dot)

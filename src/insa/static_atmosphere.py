@@ -86,14 +86,8 @@ def _geopotential_below(Hp: float, Hp_msl: float, T_isa_msl: float, delta_T: flo
     )
 
 
-@lru_cache(maxsize=4096)
 def _column_anchors(offsets: Offsets) -> AtmosphereAnchors:
-    """Anchors of an offset pair already validated by the caller.
-
-    The cache behind ``anchors``.  ``QuasiStaticModel`` validates against
-    its own bounds and calls the uncached ``__wrapped__``, as it keeps the
-    anchors of its last offset pair itself.
-    """
+    """Anchors of an offset pair already validated by the caller."""
     delta_T = offsets.delta_T
     p_msl = P0 + offsets.delta_p
     Hp_msl = _hp_below(p_msl)
@@ -107,19 +101,18 @@ def _column_anchors(offsets: Offsets) -> AtmosphereAnchors:
     )
 
 
+@lru_cache(maxsize=4096, typed=True)
 def anchors(offsets: Offsets) -> AtmosphereAnchors:
     """Compute (and cache) the boundary values of one column.
 
     The pair is checked against the default offset bounds.  Trajectory
     integrators call the point operations millions of times per flight,
     so the power/log evaluations hiding in the anchor values are done
-    once per offset pair.
+    once per offset pair.  A cache hit, an equal pair of the same type,
+    skips the check; a rejected pair is counted as a miss and not cached,
+    and a plain tuple never hits an ``Offsets`` entry.
     """
     return _column_anchors(validate_offsets(offsets))
-
-
-anchors.cache_info = _column_anchors.cache_info
-anchors.cache_clear = _column_anchors.cache_clear
 
 
 def _as_anchors(column: ColumnSpec) -> AtmosphereAnchors:
@@ -135,23 +128,20 @@ def standard_temperature_from_hp(Hp: float) -> float:
     offset pair.
     """
     check_pressure_altitude(Hp)
-    if Hp <= HP_TROP:
-        return T0 + BETA_T_BELOW * Hp
-    return T_ISA_TROP
+    return _state(Hp, math.nan, 0.0).T_isa
 
 
 def temperature_from_hp(Hp: float, column: ColumnSpec) -> float:
     """Temperature at pressure altitude Hp; the offset delta_p plays no role."""
     a = _as_anchors(column)
-    return standard_temperature_from_hp(Hp) + a.offsets.delta_T
+    check_pressure_altitude(Hp)
+    return _state(Hp, math.nan, a.offsets.delta_T).T
 
 
 def pressure_from_hp(Hp: float) -> float:
     """Pressure at pressure altitude Hp; the same for every offset pair."""
     check_pressure_altitude(Hp)
-    if Hp <= HP_TROP:
-        return _pressure_below(Hp)
-    return _pressure_above(Hp)
+    return _state(Hp, math.nan, 0.0).p
 
 
 def hp_from_pressure(p: float) -> float:
@@ -206,7 +196,8 @@ def _state_at(H: float, a: AtmosphereAnchors, max_iter: int = 50) -> Atmospheric
 
 
 def _state(Hp: float, H: float, delta_T: float) -> AtmosphericState:
-    # Hp is already known to lie in the validity band.
+    # The one Hp layer branch.  Hp is already known to lie in the validity
+    # band; H is only carried into the state (NaN where the caller needs none).
     if Hp <= HP_TROP:
         T_isa, p = T0 + BETA_T_BELOW * Hp, _pressure_below(Hp)
     else:
@@ -251,8 +242,9 @@ def state_at_pressure_altitude(Hp: float, column: ColumnSpec) -> AtmosphericStat
 def d_geopotential_d_hp(Hp: float, column: ColumnSpec) -> float:
     """Slope dH/dHp = T/T_isa; above one in warm columns, below in cold."""
     a = _as_anchors(column)
-    T_isa = standard_temperature_from_hp(Hp)
-    return (T_isa + a.offsets.delta_T) / T_isa
+    check_pressure_altitude(Hp)
+    st = _state(Hp, math.nan, a.offsets.delta_T)
+    return st.T / st.T_isa
 
 
 class VerticalGradients(NamedTuple):

@@ -126,6 +126,19 @@ class TestProps:
         assert result.exit_code == 3
         assert "longitude must be finite" in result.output
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_grid_non_finite_time_message(self, runner, tmp_path, t):
+        grid_file = tmp_path / "grid.csv"
+        grid_file.write_text(GRID_TEXT)
+        result = runner.invoke(
+            main,
+            ["props", "--hp", "0", "--grid", str(grid_file),
+             "--time", t, "--lon", "15", "--lat", "45"],
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"error: time must be finite, got {float(t)!r}\n"
+
     def test_exactly_one_altitude_required(self, runner):
         assert runner.invoke(main, ["props", "--dt", "0"]).exit_code == 2
         assert (
@@ -384,14 +397,29 @@ class TestConvert:
         )
         assert result.output.strip() == "H = 1234.500000 m"
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    # "1e306 --km" is finite until it is scaled to metres.
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e306 --km"])
     @pytest.mark.parametrize("from_kind, to_kind", [("H", "h"), ("h", "H"), ("H", "H"), ("Hp", "Hp")])
     def test_non_finite_value_exit_code(self, runner, value, from_kind, to_kind):
         result = runner.invoke(
-            main, ["convert", "--value", value, "--from", from_kind, "--to", to_kind]
+            main, ["convert", "--value", *value.split(), "--from", from_kind, "--to", to_kind]
         )
         assert result.exit_code == 3
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("dt, message", [
+        ("999", "delta_T=999.0 K outside [-50.0, 50.0] K"),
+        ("nan", "offsets must be finite, got Offsets(delta_T=nan, delta_p=0.0)"),
+    ], ids=["out_of_bounds", "nan"])
+    @pytest.mark.parametrize("to_kind", ["h", "H", "Hp"])
+    @pytest.mark.parametrize("from_kind", ["h", "H", "Hp"])
+    def test_offsets_checked_on_every_kind_pair(self, runner, from_kind, to_kind, dt, message):
+        result = runner.invoke(
+            main, ["convert", "--value", "1000", "--from", from_kind, "--to", to_kind, "--dt", dt]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
     def test_km_input(self, runner):
         result = runner.invoke(

@@ -222,6 +222,16 @@ class TestOnePointMemo:
             assert model.property_rates(t, pos, h_dot) == manual_rates(model, t, pos, h_dot)
             assert model.field.calls - before == 2  # its own solve plus the manual one
 
+    def test_rates_twice_one_field_evaluation(self):
+        # A point asked for rates only is remembered too.
+        model = grid_model()
+        for t, pos, h_dot in grid_points(200, 15):
+            rates = manual_rates(model, t, pos, h_dot)
+            before = model.field.calls
+            assert model.property_rates(t, pos, h_dot) == rates
+            assert model.property_rates(t, pos, h_dot) == rates
+            assert model.field.calls - before == 1
+
     def test_query_then_rates_at_another_point(self):
         model = grid_model()
         points = grid_points(301, 3)

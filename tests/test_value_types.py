@@ -147,3 +147,11 @@ def test_anchors_cache_keyed_by_value():
     assert again is first
     info = anchors.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_anchors_cache_keyed_by_type():
+    # An equal plain tuple misses the cached Offsets entry and is checked,
+    # which it fails for want of named fields.
+    anchors(Offsets(15.0, 2000.0))
+    with pytest.raises(AttributeError):
+        anchors((15.0, 2000.0))
