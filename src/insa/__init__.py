@@ -7,6 +7,8 @@ with time and horizontal position through pluggable weather fields.  With
 both offsets at zero the model is the ICAO standard atmosphere.
 """
 
+from types import ModuleType as _ModuleType
+
 from .constants import (
     DEFAULT_OFFSET_BOUNDS,
     AtmosphericState,
@@ -70,58 +72,9 @@ from .static_atmosphere import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtmosphereAnchors",
-    "AtmosphereError",
-    "AtmosphericState",
-    "ConstantField",
-    "DEFAULT_OFFSET_BOUNDS",
-    "EmptyNode",
-    "FIGURE_IDS",
-    "FigureSeries",
-    "FigureTable",
-    "GeodeticPosition",
-    "GridField",
-    "IdentificationRecord",
-    "IncompleteGrid",
-    "NoConvergence",
-    "NonMonotonicAxis",
-    "NonPhysical",
-    "NotInTroposphere",
-    "Observation",
-    "OffsetBounds",
-    "OffsetField",
-    "OffsetGrid3D",
-    "Offsets",
-    "OutOfDomain",
-    "OutOfValidityRange",
-    "ParseError",
-    "PropertyRates",
-    "QuasiStaticModel",
-    "VerticalGradients",
-    "Waypoint",
-    "WaypointField",
-    "anchors",
-    "build_figure",
-    "d_geopotential_d_geodetic",
-    "d_geopotential_d_hp",
-    "geodetic_to_geopotential",
-    "geopotential_from_hp",
-    "geopotential_to_geodetic",
-    "grid_from_observations",
-    "hp_from_geopotential",
-    "hp_from_pressure",
-    "identify_offsets",
-    "identify_offsets_batch",
-    "load_grid",
-    "load_observations",
-    "pressure_from_hp",
-    "render_table",
-    "solve_tisa_msl",
-    "standard_temperature_from_hp",
-    "state_at_geopotential",
-    "state_at_pressure_altitude",
-    "temperature_from_hp",
-    "validate_offsets",
-    "vertical_gradients",
-]
+# Every public name imported above; adding an import lists its names.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
+del _ModuleType

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .constants import Offsets, validate_offsets
 from .engine import QuasiStaticModel
@@ -80,6 +81,8 @@ def _resolve_offsets(dt, dp, grid_path, t, lon, lat) -> Offsets:
             raise click.UsageError("--grid requires --time, --lon, and --lat")
         field = GridField(load_grid(Path(grid_path).read_text(encoding="utf-8")))
         return QuasiStaticModel(field).offsets_at(t, math.radians(lon), math.radians(lat))
+    if t is not None or lon is not None or lat is not None:
+        raise click.UsageError("--time, --lon, and --lat require --grid")
     return Offsets(delta_T=dt or 0.0, delta_p=dp or 0.0)
 
 
@@ -169,8 +172,10 @@ def _write_records(records, as_csv: bool) -> None:
 def cmd_identify(h, p, temp, t_s, lon, lat, obs_path, in_km, fmt):
     """Recover the offset pair behind ground observations."""
     if obs_path is not None:
-        if h is not None or p is not None or temp is not None:
-            raise click.UsageError("--obs cannot be combined with --h/--p/--t")
+        source = click.get_current_context().get_parameter_source
+        if any(source(name) is not ParameterSource.DEFAULT
+               for name in ("h", "p", "temp", "t_s", "lon", "lat")):
+            raise click.UsageError("--obs cannot be combined with --h/--p/--t/--time/--lon/--lat")
         observations = load_observations(Path(obs_path).read_text(encoding="utf-8"))
         _write_records(identify_offsets_batch(observations), fmt == "csv")
         return

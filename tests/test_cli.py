@@ -151,6 +151,13 @@ class TestProps:
         result = runner.invoke(main, ["props", "--hp", "0", "--grid", str(grid_file)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option", ["--time", "--lon", "--lat"])
+    def test_query_point_needs_grid(self, runner, option):
+        result = runner.invoke(main, ["props", "--hp", "0", option, "5"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--time, --lon, and --lat require --grid" in result.stderr
+
     def test_out_of_validity_exit_code(self, runner):
         result = runner.invoke(main, ["props", "--hp", "25000"])
         assert result.exit_code == 3
@@ -226,6 +233,16 @@ class TestIdentify:
 
     def test_incomplete_arguments(self, runner):
         assert runner.invoke(main, ["identify", "--h", "0"]).exit_code == 2
+
+    # "0" equals the --time/--lon/--lat default: giving it still counts.
+    @pytest.mark.parametrize("option", ["--time", "--lon", "--lat", "--h", "--p", "--t"])
+    def test_batch_rejects_single_observation_options(self, runner, tmp_path, option):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(OBS_TEXT)
+        result = runner.invoke(main, ["identify", "--obs", str(obs_file), option, "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--obs cannot be combined with --h/--p/--t/--time/--lon/--lat" in result.stderr
 
     def test_malformed_file_exit_code(self, runner, tmp_path):
         obs_file = tmp_path / "obs.csv"
@@ -474,8 +491,11 @@ class TestGridValidate:
 def test_cli_import_leaves_numpy_unloaded():
     src = str(Path(insa.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, insa.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, insa; print('numpy' in sys.modules);"
+        " import insa.cli; print('numpy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -9,9 +9,11 @@ frozen dataclass and of a NamedTuple with the same fields print alike.
 import hashlib
 import math
 import random
+from types import ModuleType
 
 import pytest
 
+import insa
 from insa import (
     AtmosphereError,
     ConstantField,
@@ -38,6 +40,7 @@ DIGESTS = {
     "grid": "bae6f1b8549003d610490d45162f74ab4d24341ee47c25182ccc3ec6c0995b42",
     "anchors": "fc5f257b374c9340c0f69cd64f64cbd5416c15036b535bcda32eafabe22507fc",
     "identify": "e46c7d2a866f83345325d0f4bec98fa8ea2878d17a5ce65ac585ecf5ab6e9c7c",
+    "public_names": "26b353055c539599ed3526fa8f96a5120011615d930983270d6d49ba4906bf12",
 }
 
 
@@ -131,3 +134,17 @@ def test_identify_offsets_digest():
         for i, (h, p, T) in enumerate(observations)
     ]
     assert _digest(lines) == DIGESTS["identify"]
+
+
+def test_public_names_digest():
+    # insa.__all__ is derived from the package's imports, so a helper
+    # imported there by mistake would show up in the count and the digest.
+    assert len(insa.__all__) == 53
+    assert _digest(insa.__all__) == DIGESTS["public_names"]
+    namespace = {}
+    exec("from insa import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == insa.__all__
+    submodules = [m for m in vars(insa).values() if isinstance(m, ModuleType)]
+    for name, value in namespace.items():
+        assert any(vars(m).get(name) is value for m in submodules), name
