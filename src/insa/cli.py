@@ -56,7 +56,7 @@ def _domain_errors(fn):
         except AtmosphereError as err:
             click.echo(f"error: {err}", err=True)
             raise SystemExit(_exit_code(err))
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             click.echo(f"error: {err}", err=True)
             raise SystemExit(5)
 
@@ -174,8 +174,9 @@ def cmd_identify(h, p, temp, t_s, lon, lat, obs_path, in_km, fmt):
     if obs_path is not None:
         source = click.get_current_context().get_parameter_source
         if any(source(name) is not ParameterSource.DEFAULT
-               for name in ("h", "p", "temp", "t_s", "lon", "lat")):
-            raise click.UsageError("--obs cannot be combined with --h/--p/--t/--time/--lon/--lat")
+               for name in ("h", "p", "temp", "t_s", "lon", "lat", "in_km")):
+            raise click.UsageError(
+                "--obs cannot be combined with --h/--p/--t/--time/--lon/--lat/--km")
         observations = load_observations(Path(obs_path).read_text(encoding="utf-8"))
         _write_records(identify_offsets_batch(observations), fmt == "csv")
         return

@@ -6,16 +6,18 @@ import math
 
 from .errors import NoConvergence
 
+MAX_ITER = 50  # iteration budget of every solve
 
-def newton(a: float, c: float, *, tol: float, max_iter: int = 50) -> tuple[float, int]:
+
+def newton(a: float, c: float, *, tol: float) -> tuple[float, int]:
     """Root u > 0 of u + a*ln(u) = c by Halley iteration from u = c - a*ln(c).
 
     Stops once the step magnitude drops below ``tol`` and returns the root
     together with the number of iterations used.  A Halley step that would
     leave 0 < u < inf (a warm column with a small c overshoots past zero)
     is replaced by a Newton step on ln(u), which keeps u positive.  A
-    non-finite iterate, an exhausted budget, a flat slope or an overflow
-    raises NoConvergence.
+    non-finite iterate, more than MAX_ITER iterations, a flat slope or an
+    overflow raises NoConvergence.
 
     Near the double root of a cold column, a < 0 with c - c_min < 1e-3
     where c_min = a*(ln(-a) - 1) is the least value of the left side, the
@@ -32,7 +34,7 @@ def newton(a: float, c: float, *, tol: float, max_iter: int = 50) -> tuple[float
             u, f_floor = math.sqrt(2.0 * -a * gap) - a, 2.0 * math.ulp(c)
         else:
             u, f_floor = c - a * math.log(c), 0.0
-        for iteration in range(1, max_iter + 1):
+        for iteration in range(1, MAX_ITER + 1):
             f = u + a * math.log(u) - c
             if abs(f) <= f_floor:
                 return u, iteration
@@ -48,6 +50,6 @@ def newton(a: float, c: float, *, tol: float, max_iter: int = 50) -> tuple[float
     except (ValueError, ZeroDivisionError, OverflowError):  # ln(c <= 0), flat slope, exp overflow
         pass
     raise NoConvergence(
-        f"no root of u + a*ln(u) = c for a={a!r}, c={c!r} within {max_iter}"
+        f"no root of u + a*ln(u) = c for a={a!r}, c={c!r} within {MAX_ITER}"
         f" iterations; last iterate u={u!r}"
     )

@@ -169,8 +169,42 @@ def geopotential_from_hp(Hp: float, column: ColumnSpec) -> float:
     return a.H_trop + a.T_trop / T_ISA_TROP * (Hp - HP_TROP)
 
 
-def _state_at(H: float, a: AtmosphereAnchors, max_iter: int = 50) -> AtmosphericState:
-    # The one H -> Hp inversion: span test, layer branch, solve, edge snap.
+def _state(Hp: float, H: float, delta_T: float) -> AtmosphericState:
+    # The one Hp layer branch.  Hp is already known to lie in the validity
+    # band; H is only carried into the state (NaN where the caller needs none).
+    if Hp <= HP_TROP:
+        T_isa, p = T0 + BETA_T_BELOW * Hp, _pressure_below(Hp)
+    else:
+        T_isa, p = T_ISA_TROP, _pressure_above(Hp)
+    T = T_isa + delta_T
+    return AtmosphericState(Hp, H, p, T, T_isa, p / (R_AIR * T))
+
+
+def hp_from_geopotential(H: float, column: ColumnSpec) -> float:
+    """Pressure altitude Hp at geopotential altitude H for one column.
+
+    The stratosphere inverts in closed form; the troposphere, with
+    u = T_isa(Hp)/T_isa_msl, solves u + a*ln(u) = c for a = delta_T/T_isa_msl
+    and c = 1 + betaT*H/T_isa_msl, a shift H + Hp_msl at delta_T = 0.  It is
+    the ``Hp`` of ``state_at_geopotential``, whose errors it raises.
+    """
+    return state_at_geopotential(H, column).Hp
+
+
+def state_at_geopotential(H: float, column: ColumnSpec) -> AtmosphericState:
+    """Full atmospheric state at geopotential altitude H for one column.
+
+    Hp is recovered first, pressure and the two temperatures follow from
+    it, and density closes the bundle through the perfect-gas law, so the
+    returned state satisfies p = rho*R*T by construction.
+
+    Raises:
+        OutOfValidityRange: H outside the image of the validity band.
+        NoConvergence: iteration budget exhausted (never expected in range),
+            or a result past its layer or the validity band by more than
+            HP_INVERSION_TOL; a smaller overshoot is moved onto the edge.
+    """
+    a = _as_anchors(column)
     if not a.H_min <= H <= a.H_max:
         o = a.offsets  # any pair equal to it, -0.0 for 0.0 say, names it alike
         raise OutOfValidityRange(
@@ -185,7 +219,7 @@ def _state_at(H: float, a: AtmosphereAnchors, max_iter: int = 50) -> Atmospheric
     else:
         t = a.T_isa_msl
         tol = HP_INVERSION_TOL * -BETA_T_BELOW / t
-        u, _ = newton(delta_T / t, 1.0 + BETA_T_BELOW * H / t, tol=tol, max_iter=max_iter)
+        u, _ = newton(delta_T / t, 1.0 + BETA_T_BELOW * H / t, tol=tol)
         Hp, low, high = a.Hp_msl + t / BETA_T_BELOW * (u - 1.0), HP_MIN, HP_TROP
     if not low <= Hp <= high:
         inside = min(max(Hp, low), high)
@@ -193,44 +227,6 @@ def _state_at(H: float, a: AtmosphereAnchors, max_iter: int = 50) -> Atmospheric
             raise NoConvergence(f"inversion landed at Hp={Hp!r} m, outside [{low}, {high}] m")
         Hp = inside
     return _state(Hp, H, delta_T)
-
-
-def _state(Hp: float, H: float, delta_T: float) -> AtmosphericState:
-    # The one Hp layer branch.  Hp is already known to lie in the validity
-    # band; H is only carried into the state (NaN where the caller needs none).
-    if Hp <= HP_TROP:
-        T_isa, p = T0 + BETA_T_BELOW * Hp, _pressure_below(Hp)
-    else:
-        T_isa, p = T_ISA_TROP, _pressure_above(Hp)
-    T = T_isa + delta_T
-    return AtmosphericState(Hp, H, p, T, T_isa, p / (R_AIR * T))
-
-
-def hp_from_geopotential(H: float, column: ColumnSpec, *, max_iter: int = 50) -> float:
-    """Pressure altitude Hp at geopotential altitude H for one column.
-
-    The stratosphere inverts in closed form; the troposphere, with
-    u = T_isa(Hp)/T_isa_msl, solves u + a*ln(u) = c for a = delta_T/T_isa_msl
-    and c = 1 + betaT*H/T_isa_msl, a shift H + Hp_msl at delta_T = 0.  It is
-    the ``Hp`` of ``state_at_geopotential``, whose inversion it shares.
-
-    Raises:
-        OutOfValidityRange: H outside the image of the validity band.
-        NoConvergence: iteration budget exhausted (never expected in range),
-            or a result past its layer or the validity band by more than
-            HP_INVERSION_TOL; a smaller overshoot is moved onto the edge.
-    """
-    return _state_at(H, _as_anchors(column), max_iter).Hp
-
-
-def state_at_geopotential(H: float, column: ColumnSpec) -> AtmosphericState:
-    """Full atmospheric state at geopotential altitude H for one column.
-
-    Hp is recovered first, pressure and the two temperatures follow from
-    it, and density closes the bundle through the perfect-gas law, so the
-    returned state satisfies p = rho*R*T by construction.
-    """
-    return _state_at(H, _as_anchors(column))
 
 
 def state_at_pressure_altitude(Hp: float, column: ColumnSpec) -> AtmosphericState:
@@ -278,7 +274,7 @@ def gradients_of_state(st: AtmosphericState) -> tuple[float, float, float]:
     return dp_dH, dT_dH, drho_dH
 
 
-def solve_tisa_msl(T_isa: float, H: float, delta_T: float, *, max_iter: int = 50) -> float:
+def solve_tisa_msl(T_isa: float, H: float, delta_T: float) -> float:
     """Mean sea level standard temperature of the column through one point.
 
     Given the standard temperature ``T_isa`` observed at geopotential
@@ -305,5 +301,5 @@ def solve_tisa_msl(T_isa: float, H: float, delta_T: float, *, max_iter: int = 50
         )
     if delta_T == 0.0:
         return T_isa - BETA_T_BELOW * H
-    w, _ = newton(a, c, tol=TISA_MSL_TOL / T_isa, max_iter=max_iter)
+    w, _ = newton(a, c, tol=TISA_MSL_TOL / T_isa)
     return w * T_isa

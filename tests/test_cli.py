@@ -18,6 +18,7 @@ from insa import (
     anchors,
     geodetic_to_geopotential,
     geopotential_from_hp,
+    geopotential_to_geodetic,
     identify_offsets_batch,
     load_observations,
     pressure_from_hp,
@@ -145,6 +146,27 @@ class TestProps:
             runner.invoke(main, ["props", "--hp", "0", "--h-geo", "1"]).exit_code == 2
         )
 
+    def test_geopotential_altitude_csv(self, runner):
+        result = runner.invoke(
+            main, ["props", "--h-geopot", "5000", "--dt", "10", "--dp", "-1000", "--format", "csv"]
+        )
+        assert result.exit_code == 0
+        st = state_at_geopotential(5000.0, Offsets(10.0, -1000.0))
+        values = (st.Hp, st.H, geopotential_to_geodetic(st.H), st.p, st.T, st.T_isa, st.rho)
+        assert result.stdout == ",".join(repr(v) for v in values) + "\n"
+
+    def test_grid_excludes_offsets(self, runner, tmp_path):
+        grid_file = tmp_path / "grid.csv"
+        grid_file.write_text(GRID_TEXT)
+        result = runner.invoke(
+            main,
+            ["props", "--hp", "0", "--grid", str(grid_file), "--dt", "1",
+             "--time", "1800", "--lon", "15", "--lat", "45"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--grid cannot be combined with --dt/--dp" in result.stderr
+
     def test_grid_needs_query_point(self, runner, tmp_path):
         grid_file = tmp_path / "grid.csv"
         grid_file.write_text(GRID_TEXT)
@@ -235,14 +257,15 @@ class TestIdentify:
         assert runner.invoke(main, ["identify", "--h", "0"]).exit_code == 2
 
     # "0" equals the --time/--lon/--lat default: giving it still counts.
-    @pytest.mark.parametrize("option", ["--time", "--lon", "--lat", "--h", "--p", "--t"])
+    @pytest.mark.parametrize("option", ["--time", "--lon", "--lat", "--h", "--p", "--t", "--km"])
     def test_batch_rejects_single_observation_options(self, runner, tmp_path, option):
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(OBS_TEXT)
-        result = runner.invoke(main, ["identify", "--obs", str(obs_file), option, "0"])
+        given = [option] if option == "--km" else [option, "0"]
+        result = runner.invoke(main, ["identify", "--obs", str(obs_file), *given])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert "--obs cannot be combined with --h/--p/--t/--time/--lon/--lat" in result.stderr
+        assert "--obs cannot be combined with --h/--p/--t/--time/--lon/--lat/--km" in result.stderr
 
     def test_malformed_file_exit_code(self, runner, tmp_path):
         obs_file = tmp_path / "obs.csv"
@@ -486,6 +509,24 @@ class TestGridValidate:
         result = runner.invoke(main, ["grid-validate", str(grid_file)])
         assert result.exit_code == 5
         assert "missing node" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["identify", "--obs", "{}"],
+        ["grid-validate", "{}"],
+        ["props", "--grid", "{}", "--time", "0", "--lon", "0", "--lat", "0", "--hp", "0"],
+    ],
+    ids=["identify", "grid-validate", "props"],
+)
+def test_non_utf8_file_exit_code(runner, tmp_path, args):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"\xff")
+    result = runner.invoke(main, [a.format(path) for a in args])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
 
 
 def test_cli_import_leaves_numpy_unloaded():

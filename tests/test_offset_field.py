@@ -142,6 +142,11 @@ class TestWaypointField:
             got = field.evaluate(math.nan, 0.0, 0.0)
             assert math.isnan(got.delta_T) and math.isnan(got.delta_p)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_waypoint_time_rejected(self, t):
+        with pytest.raises(OutOfValidityRange, match="waypoint time must be finite"):
+            wp(t, Offsets(0.0, 0.0))
+
     def test_construction_requirements(self):
         with pytest.raises(ValueError):
             WaypointField(self.points[:1])
@@ -271,6 +276,19 @@ class TestGridField:
         )
         with pytest.raises(OutOfValidityRange, match=r"^delta_T=77\.0 K outside"):
             QuasiStaticModel(field=GridField(warm)).query(0.0, MSL)
+
+    @pytest.mark.parametrize("lon_axis", [(-0.5, 1.0), (1.0, TWO_PI), (1.0, 7.0)])
+    def test_longitude_axis_outside_one_turn_rejected(self, lon_axis):
+        with pytest.raises(NonMonotonicAxis, match=r"longitude axis must lie in \[0, 2\*pi\)"):
+            OffsetGrid3D(
+                t_axis=(0.0, 1.0), lon_axis=lon_axis, lat_axis=(0.0, 0.5),
+                delta_T=np.zeros((2, 2, 2)), delta_p=np.zeros((2, 2, 2)),
+            )
+
+    @pytest.mark.parametrize("shapes", [((2, 2, 3), (2, 2, 2)), ((2, 2, 2), (8,))])
+    def test_value_arrays_of_wrong_shape_rejected(self, shapes):
+        with pytest.raises(ValueError, match=r"value arrays must have shape \(2, 2, 2\)"):
+            self.small_grid(np.zeros(shapes[0]), np.zeros(shapes[1]))
 
     @staticmethod
     def small_grid(delta_T, delta_p):

@@ -60,6 +60,19 @@ def random_offsets(rng):
     return Offsets(rng.uniform(-20.0, 20.0), rng.uniform(-5000.0, 5000.0))
 
 
+def record_iterations(patch):
+    """Route the column solves through a wrapper; returns the iteration counts it sees."""
+    counts = []
+
+    def newton(a, c, **kwargs):
+        u, n = solvers.newton(a, c, **kwargs)
+        counts.append(n)
+        return u, n
+
+    patch.setattr(static_atmosphere, "newton", newton)
+    return counts
+
+
 class TestAnchors:
     def test_isa_anchors_are_standard(self):
         a = anchors(ISA)
@@ -273,12 +286,14 @@ class TestHpFromGeopotential:
             H = geopotential_from_hp(hp, o)
             assert abs(hp_from_geopotential(H, o) - hp) < 1e-6
 
-    def test_converges_within_ten_iterations(self):
+    def test_converges_within_ten_iterations(self, monkeypatch):
+        iterations = record_iterations(monkeypatch)
         rng = np.random.default_rng(19)
         for _ in range(2000):
             o = random_offsets(rng)
             H = geopotential_from_hp(rng.uniform(-2000.0, 20000.0), o)
-            hp_from_geopotential(H, o, max_iter=10)
+            hp_from_geopotential(H, o)
+        assert max(iterations) <= 10
 
     def test_out_of_image_rejected(self):
         with pytest.raises(OutOfValidityRange):
@@ -286,9 +301,10 @@ class TestHpFromGeopotential:
         with pytest.raises(OutOfValidityRange):
             hp_from_geopotential(-2500.0, ISA)
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(solvers, "MAX_ITER", 1)
         with pytest.raises(NoConvergence):
-            hp_from_geopotential(9000.0, Offsets(20.0, 5000.0), max_iter=1)
+            hp_from_geopotential(9000.0, Offsets(20.0, 5000.0))
 
 
 class TestState:
@@ -437,8 +453,9 @@ class TestSolver:
         a_values = rng.uniform(0.1, 0.25, 3000)
         c_values = np.exp(rng.uniform(math.log(1e-15), math.log(2.0), 3000))
         for a, c in zip(a_values.tolist(), c_values.tolist()):
-            u, _ = solvers.newton(a, c, tol=tol)
+            u, iterations = solvers.newton(a, c, tol=tol)
             assert abs(u + a * math.log(u) - c) <= tol, (a, c)
+            assert iterations <= 15, (a, c)  # worst seen 11; the budget is solvers.MAX_ITER
 
 
     def test_cold_columns_near_the_double_root_converge(self):
@@ -555,10 +572,13 @@ class TestWholeBox:
 
     @given(OFFSETS_IN_BOX, HP_IN_TROPOSPHERE)
     def test_at_most_four_iterations(self, o, hp):
-        # max_iter=4 turns a fifth iteration into NoConvergence.
+        # A plain context: hypothesis rejects function-scoped fixtures.
         H = geopotential_from_hp(hp, o)
-        hp_from_geopotential(H, o, max_iter=4)
-        solve_tisa_msl(standard_temperature_from_hp(hp), H, o.delta_T, max_iter=4)
+        with pytest.MonkeyPatch.context() as patch:
+            iterations = record_iterations(patch)
+            hp_from_geopotential(H, o)
+            solve_tisa_msl(standard_temperature_from_hp(hp), H, o.delta_T)
+        assert all(n <= 4 for n in iterations), iterations
 
     @given(OFFSETS_IN_BOX, st.floats(HP_MIN, HP_TROP - TROPOPAUSE_MARGIN))
     def test_identification_inverts_forward_model(self, o, hp):
