@@ -527,6 +527,41 @@ def test_non_utf8_file_exit_code(runner, tmp_path, args):
     assert result.exit_code == 5
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
+    assert str(path) in result.stderr
+
+
+# Usage errors the parser raises by itself, and a negative value after an option.
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        (["convert", "--val", "1000", "--from", "H", "--to", "H"], 2),
+        (["props", "--hp", "0", "--grid", "{missing}", "--time", "0", "--lon", "0", "--lat", "0"], 2),
+        (["props", "--hp", "0", "--grid", "{dir}", "--time", "0", "--lon", "0", "--lat", "0"], 2),
+        (["identify", "--obs", "{missing}"], 2),
+        (["identify", "--obs", "{dir}"], 2),
+        (["grid-validate", "{missing}"], 2),
+        (["grid-validate", "{dir}"], 2),
+        (["props", "--hp", "0", "--dp", "-1e3", "--format", "csv"], 0),
+    ],
+    ids=["abbreviated-option", "grid-missing", "grid-dir", "obs-missing", "obs-dir",
+         "grid-validate-missing", "grid-validate-dir", "negative-value"],
+)
+def test_parser_checks(runner, tmp_path, args, exit_code):
+    paths = {"missing": tmp_path / "missing.csv", "dir": tmp_path}
+    result = runner.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == exit_code
+    if exit_code:
+        assert result.stdout == ""
+        return
+    st = insa.state_at_pressure_altitude(0.0, Offsets(0.0, -1000.0))
+    values = (st.Hp, st.H, geopotential_to_geodetic(st.H), st.p, st.T, st.T_isa, st.rho)
+    assert result.stdout == ",".join(repr(v) for v in values) + "\n"
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.stdout == f"insa, version {insa.__version__}\n"
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -534,9 +569,11 @@ def test_cli_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, insa; print('numpy' in sys.modules);"
-        " import insa.cli; print('numpy' in sys.modules)"
+        " import insa.cli; print('numpy' in sys.modules);"
+        " print('click' in sys.modules, file=sys.stderr)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["False", "False"]
+    assert out.stderr.split() == ["False"]
