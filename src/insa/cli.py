@@ -3,7 +3,7 @@
 Angles are given in degrees and altitudes in metres (or km with --km);
 everything is converted to SI at this boundary.  Exit codes: 0 success,
 2 usage error, 3 out-of-validity input, 4 observation not in the
-troposphere, 5 file or parse problem.
+troposphere, 5 file or parse problem, 1 stdout closed early (``| head``).
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ from .static_atmosphere import (
 )
 
 
-class _UsageError(Exception):
-    """Options that parse but do not go together; exit code 2."""
-
-
 def _exit_code(err: AtmosphereError | OSError) -> int:
     if isinstance(err, NotInTroposphere):
         return 4
@@ -64,35 +60,32 @@ def _altitude_m(value: float, in_km: bool) -> float:
     return value * 1000.0 if in_km else value
 
 
-def _resolve_offsets(dt, dp, grid_path, t, lon, lat) -> Offsets:
-    if grid_path is not None:
-        if dt is not None or dp is not None:
-            raise _UsageError("--grid cannot be combined with --dt/--dp")
-        if t is None or lon is None or lat is None:
-            raise _UsageError("--grid requires --time, --lon, and --lat")
-        field = GridField(load_grid(_read_text(grid_path)))
-        return QuasiStaticModel(field).offsets_at(t, math.radians(lon), math.radians(lat))
-    if t is not None or lon is not None or lat is not None:
-        raise _UsageError("--time, --lon, and --lat require --grid")
-    return Offsets(delta_T=dt or 0.0, delta_p=dp or 0.0)
+def _resolve_offsets(args) -> Offsets:
+    if args.grid is not None:
+        if args.dt is not None or args.dp is not None:
+            args.usage_error("--grid cannot be combined with --dt/--dp")
+        if args.time is None or args.lon is None or args.lat is None:
+            args.usage_error("--grid requires --time, --lon, and --lat")
+        model = QuasiStaticModel(GridField(load_grid(_read_text(args.grid))))
+        return model.offsets_at(args.time, math.radians(args.lon), math.radians(args.lat))
+    if args.time is not None or args.lon is not None or args.lat is not None:
+        args.usage_error("--time, --lon, and --lat require --grid")
+    return Offsets(delta_T=args.dt or 0.0, delta_p=args.dp or 0.0)
 
 
-def cmd_props(hp, h_geo, h_geopot, dt, dp, grid_path, t, lon, lat, in_km, fmt):
+def cmd_props(args):
     """Atmospheric state at one altitude for given offsets or a grid."""
-    given = [v for v in (hp, h_geo, h_geopot) if v is not None]
-    if len(given) != 1:
-        raise _UsageError("give exactly one of --hp, --h-geo, --h-geopot")
-    offsets = _resolve_offsets(dt, dp, grid_path, t, lon, lat)
-    if hp is not None:
-        state = state_at_pressure_altitude(_altitude_m(hp, in_km), offsets)
-    elif h_geopot is not None:
-        state = state_at_geopotential(_altitude_m(h_geopot, in_km), offsets)
+    offsets = _resolve_offsets(args)
+    if args.hp is not None:
+        state = state_at_pressure_altitude(_altitude_m(args.hp, args.km), offsets)
+    elif args.h_geopot is not None:
+        state = state_at_geopotential(_altitude_m(args.h_geopot, args.km), offsets)
     else:
-        H = geodetic_to_geopotential(_altitude_m(h_geo, in_km))
+        H = geodetic_to_geopotential(_altitude_m(args.h_geo, args.km))
         state = state_at_geopotential(H, offsets)
     h = geopotential_to_geodetic(state.H)
     values = (state.Hp, state.H, h, state.p, state.T, state.T_isa, state.rho)
-    if fmt == "csv":
+    if args.format == "csv":
         print(",".join(repr(v) for v in values))
         return
     labels = ("Hp", "H", "h", "p", "T", "T_isa", "rho")
@@ -131,29 +124,29 @@ def _write_records(records, as_csv: bool) -> None:
         buffer.truncate()
 
 
-def cmd_identify(h, p, temp, t_s, lon, lat, obs_path, in_km, fmt):
+def cmd_identify(args):
     """Recover the offset pair behind ground observations."""
     # None is an option not given: a value equal to the default still counts.
-    if obs_path is not None:
-        if any(v is not None for v in (h, p, temp, t_s, lon, lat, in_km)):
-            raise _UsageError(
+    if args.obs is not None:
+        if any(getattr(args, k) is not None for k in ("h", "p", "t", "time", "lon", "lat", "km")):
+            args.usage_error(
                 "--obs cannot be combined with --h/--p/--t/--time/--lon/--lat/--km")
-        observations = load_observations(_read_text(obs_path))
-        _write_records(identify_offsets_batch(observations), fmt == "csv")
+        observations = load_observations(_read_text(args.obs))
+        _write_records(identify_offsets_batch(observations), args.format == "csv")
         return
-    if h is None or p is None or temp is None:
-        raise _UsageError("give --h, --p, and --t (or --obs FILE)")
-    t_s, lon, lat = (0.0 if v is None else v for v in (t_s, lon, lat))
+    if args.h is None or args.p is None or args.t is None:
+        args.usage_error("give --h, --p, and --t (or --obs FILE)")
+    t_s, lon, lat = (0.0 if v is None else v for v in (args.time, args.lon, args.lat))
     obs = Observation(
         t=t_s,
         lon=math.radians(lon),
         lat=math.radians(lat),
-        h=_altitude_m(h, in_km),
-        p=p,
-        T=temp,
+        h=_altitude_m(args.h, args.km),
+        p=args.p,
+        T=args.t,
     )
     offsets = identify_offsets(obs)
-    if fmt == "csv":
+    if args.format == "csv":
         print(f"{offsets.delta_T!r},{offsets.delta_p!r}")
     else:
         print(f"delta_T = {offsets.delta_T:.6g} K")
@@ -163,47 +156,47 @@ def cmd_identify(h, p, temp, t_s, lon, lat, obs_path, in_km, fmt):
 _KINDS = ("h", "H", "Hp")
 
 
-def cmd_convert(value, from_kind, to_kind, dt, dp, in_km, fmt):
+def cmd_convert(args):
     """Convert between geodetic, geopotential, and pressure altitude."""
-    value = _altitude_m(value, in_km)
+    value = _altitude_m(args.value, args.km)
     if not math.isfinite(value):
         raise OutOfValidityRange(f"altitude {value!r} must be finite")
-    offsets = validate_offsets(Offsets(delta_T=dt, delta_p=dp))
-    if from_kind == "h":
+    offsets = validate_offsets(Offsets(delta_T=args.dt, delta_p=args.dp))
+    if args.from_kind == "h":
         H = geodetic_to_geopotential(value)
-    elif from_kind == "Hp":
+    elif args.from_kind == "Hp":
         H = geopotential_from_hp(value, offsets)
     else:
         H = value
-    if to_kind == "h":
+    if args.to_kind == "h":
         result = geopotential_to_geodetic(H)
-    elif to_kind == "Hp":
+    elif args.to_kind == "Hp":
         result = hp_from_geopotential(H, offsets)
     else:
         result = H
-    if fmt == "csv":
+    if args.format == "csv":
         print(repr(result))
     else:
-        print(f"{to_kind} = {result:.6f} m")
+        print(f"{args.to_kind} = {result:.6f} m")
 
 
-def cmd_figure(figure_id, output):
+def cmd_figure(args):
     """Write the data table behind one figure id (use - for stdout)."""
-    table = build_figure(figure_id)
+    table = build_figure(args.figure_id)
     text = render_table(table)
-    if output == "-":
+    if args.output == "-":
         sys.stdout.write(text)
         return
-    Path(output).write_text(text, encoding="utf-8")
+    Path(args.output).write_text(text, encoding="utf-8")
     print(
-        f"wrote {figure_id}: {len(table.abscissa_km)} rows x"
-        f" {1 + len(table.series)} columns -> {output}"
+        f"wrote {args.figure_id}: {len(table.abscissa_km)} rows x"
+        f" {1 + len(table.series)} columns -> {args.output}"
     )
 
 
-def cmd_grid_validate(grid_file):
+def cmd_grid_validate(args):
     """Check an offset grid file against the default bounds and print a summary."""
-    grid = load_grid(_read_text(grid_file))
+    grid = load_grid(_read_text(args.grid_file))
     dT = (float(grid.delta_T.min()), float(grid.delta_T.max()))
     dp = (float(grid.delta_p.min()), float(grid.delta_p.max()))
     validate_offsets(Offsets(dT[0], dp[0]))
@@ -282,19 +275,20 @@ def _parser(prog: str) -> _Parser:
         sub.add_argument(flag, type=float, metavar="FLOAT", help=help, **kwargs)
 
     def km_and_format(sub, km_help):
-        sub.add_argument("--km", dest="in_km", action="store_true", help=km_help)
-        sub.add_argument("--format", dest="fmt", choices=("human", "csv"), default="human",
+        sub.add_argument("--km", action="store_true", help=km_help)
+        sub.add_argument("--format", choices=("human", "csv"), default="human",
                          help="Output format. [default: human]")
 
     props = command("props", cmd_props)
-    number(props, "--hp", "Pressure altitude.")
-    number(props, "--h-geo", "Geodetic altitude.")
-    number(props, "--h-geopot", "Geopotential altitude.")
+    altitude = props.add_mutually_exclusive_group(required=True)
+    number(altitude, "--hp", "Pressure altitude.")
+    number(altitude, "--h-geo", "Geodetic altitude.")
+    number(altitude, "--h-geopot", "Geopotential altitude.")
     number(props, "--dt", "Temperature offset [K].")
     number(props, "--dp", "Pressure offset [Pa].")
-    props.add_argument("--grid", dest="grid_path", type=_input_file, metavar="FILE",
+    props.add_argument("--grid", type=_input_file, metavar="FILE",
                        help="Offset grid file backing the query.")
-    number(props, "--time", "Time [s] for grid queries.", dest="t")
+    number(props, "--time", "Time [s] for grid queries.")
     number(props, "--lon", "Longitude [deg] for grid queries.")
     number(props, "--lat", "Latitude [deg] for grid queries.")
     km_and_format(props, "Altitudes are given in km.")
@@ -303,14 +297,14 @@ def _parser(prog: str) -> _Parser:
     identify = command("identify", cmd_identify)
     number(identify, "--h", "Station geodetic altitude.")
     number(identify, "--p", "Measured pressure [Pa].")
-    number(identify, "--t", "Measured temperature [K].", dest="temp")
-    number(identify, "--time", "Observation time [s]. [default: 0.0]", dest="t_s")
+    number(identify, "--t", "Measured temperature [K].")
+    number(identify, "--time", "Observation time [s]. [default: 0.0]")
     number(identify, "--lon", "Station longitude [deg]. [default: 0.0]")
     number(identify, "--lat", "Station latitude [deg]. [default: 0.0]")
-    identify.add_argument("--obs", dest="obs_path", type=_input_file, metavar="FILE",
+    identify.add_argument("--obs", type=_input_file, metavar="FILE",
                           help="Observation file for batch identification.")
     km_and_format(identify, "Altitudes are given in km.")
-    identify.set_defaults(in_km=None)
+    identify.set_defaults(km=None)
 
     convert = command("convert", cmd_convert)
     number(convert, "--value", "Altitude value to convert.", required=True)
@@ -334,30 +328,30 @@ def _parser(prog: str) -> _Parser:
 class _Main:
     """The ``insa`` command, run by its ``main`` method."""
 
-    name = "insa"
-
-    def main(self, args=None, prog_name=None, standalone_mode=True):
+    def main(self, args=None, prog_name="insa"):
         """Run ``insa`` on ``args`` (default ``sys.argv[1:]``) and exit with its code.
 
         A usage error exits 2 with the usage on stderr, a domain or file
-        error exits 3, 4 or 5 with ``error: ...`` on stderr.  With
-        ``standalone_mode`` false, a call that succeeds returns 0 instead
-        of raising ``SystemExit(0)``.
+        error exits 3, 4 or 5 with ``error: ...`` on stderr, and a stdout
+        closed before the output was written (``| head``) exits 1 in silence.
         """
-        options = vars(_parser(prog_name or self.name).parse_args(args))
-        run, usage_error = options.pop("run"), options.pop("usage_error")
-        del options["command"]
+        args = sys.argv[1:] if args is None else list(args)
+        # argparse would read a "--" before the command name as that name.
+        if args[:1] == ["--"] and args[1:2] and not args[1].startswith("-"):
+            del args[0]
+        options = _parser(prog_name).parse_args(args)
         try:
-            run(**options)
+            options.run(options)
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
             code = 0
-        except _UsageError as err:
-            usage_error(str(err))
+        except BrokenPipeError:
+            # Python's SIGPIPE recipe: the interpreter's last flush goes to devnull.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 1
         except (AtmosphereError, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             code = _exit_code(err)
-        if code or standalone_mode:
-            raise SystemExit(code)
-        return code
+        raise SystemExit(code)
 
 
 # An object, not a function: perfbench's span tracer wraps every public

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from insa import (
     ConstantField,
@@ -271,9 +270,8 @@ def test_criterion_10_grid_interpolation():
             assert abs(a.delta_p - b.delta_p) < 1e-12
 
 
-def test_criterion_11_cli_figure_determinism(tmp_path):
+def test_criterion_11_cli_figure_determinism(tmp_path, runner):
     with criterion(11, "figure tables byte-identical and fast"):
-        runner = CliRunner()
         start = time.perf_counter()
         for figure_id in FIGURE_IDS:
             out1 = tmp_path / f"{figure_id}_1.txt"

@@ -8,9 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 
 import insa
 from insa import (
@@ -65,11 +63,6 @@ GOLDEN_IDENTIFY = {
         f'60.0,200.0,-50.0,,,"{_GOLDEN_ERROR}"\n'
     ),
 }
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 class TestProps:
@@ -141,10 +134,10 @@ class TestProps:
         assert result.stderr == f"error: time must be finite, got {float(t)!r}\n"
 
     def test_exactly_one_altitude_required(self, runner):
-        assert runner.invoke(main, ["props", "--dt", "0"]).exit_code == 2
-        assert (
-            runner.invoke(main, ["props", "--hp", "0", "--h-geo", "1"]).exit_code == 2
-        )
+        for args in (["props", "--dt", "0"], ["props", "--hp", "0", "--h-geo", "1"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert result.stdout == ""
 
     def test_geopotential_altitude_csv(self, runner):
         result = runner.invoke(
@@ -166,6 +159,8 @@ class TestProps:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "--grid cannot be combined with --dt/--dp" in result.stderr
+        assert result.stderr.startswith("usage: insa props ")
+        assert "insa props: error: --grid cannot be combined with --dt/--dp" in result.stderr
 
     def test_grid_needs_query_point(self, runner, tmp_path):
         grid_file = tmp_path / "grid.csv"
@@ -179,6 +174,8 @@ class TestProps:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "--time, --lon, and --lat require --grid" in result.stderr
+        assert result.stderr.startswith("usage: insa props ")
+        assert "insa props: error: --time, --lon, and --lat require --grid" in result.stderr
 
     def test_out_of_validity_exit_code(self, runner):
         result = runner.invoke(main, ["props", "--hp", "25000"])
@@ -266,6 +263,9 @@ class TestIdentify:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "--obs cannot be combined with --h/--p/--t/--time/--lon/--lat/--km" in result.stderr
+        assert result.stderr.startswith("usage: insa identify ")
+        assert ("insa identify: error: --obs cannot be combined with"
+                " --h/--p/--t/--time/--lon/--lat/--km") in result.stderr
 
     def test_malformed_file_exit_code(self, runner, tmp_path):
         obs_file = tmp_path / "obs.csv"
@@ -323,7 +323,7 @@ def reference_identify_output(records, fmt):
         else:
             result = f"error: {rec.error}" if o is None else (
                 f"delta_T = {o.delta_T:.6g} K, delta_p = {o.delta_p:.6g} Pa")
-            click.echo(f"t={rec.t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}: {result}")
+            print(f"t={rec.t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}: {result}")
 
 
 def _seam_observation_text(n_rows, seed=17):
@@ -391,8 +391,24 @@ class TestIdentifySlices:
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(_seam_observation_text(2 * _ROWS_PER_WRITE + 1))
         monkeypatch.setattr(sys, "stdout", CountingStdout())
-        main.main(["identify", "--obs", str(obs_file), "--format", fmt], standalone_mode=False)
+        with pytest.raises(SystemExit) as exit_:
+            main.main(["identify", "--obs", str(obs_file), "--format", fmt])
+        assert exit_.value.code == 0
         assert len(writes) == 3
+
+    def test_closed_stdout_exits_1_in_silence(self, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(_seam_observation_text(3 * _ROWS_PER_WRITE))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "insa.cli", "identify", "--obs", str(obs_file)],
+            env=_env_with_src(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"t=0 s ")
+        proc.stdout.close()  # as `| head -1` does
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert stderr == b""
 
 
 class TestConvert:
@@ -542,9 +558,11 @@ def test_non_utf8_file_exit_code(runner, tmp_path, args):
         (["grid-validate", "{missing}"], 2),
         (["grid-validate", "{dir}"], 2),
         (["props", "--hp", "0", "--dp", "-1e3", "--format", "csv"], 0),
+        (["--", "props", "--hp", "0", "--dp", "-1e3", "--format", "csv"], 0),
     ],
     ids=["abbreviated-option", "grid-missing", "grid-dir", "obs-missing", "obs-dir",
-         "grid-validate-missing", "grid-validate-dir", "negative-value"],
+         "grid-validate-missing", "grid-validate-dir", "negative-value",
+         "leading-double-dash"],
 )
 def test_parser_checks(runner, tmp_path, args, exit_code):
     paths = {"missing": tmp_path / "missing.csv", "dir": tmp_path}
@@ -564,9 +582,14 @@ def test_version(runner):
     assert result.stdout == f"insa, version {insa.__version__}\n"
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _env_with_src():
+    """The environment, with the directory this ``insa`` came from first on the path."""
     src = str(Path(insa.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    env = _env_with_src()
     code = (
         "import sys, insa; print('numpy' in sys.modules);"
         " import insa.cli; print('numpy' in sys.modules);"
