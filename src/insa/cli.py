@@ -94,8 +94,8 @@ def cmd_props(args):
         print(f"{label:5s} = {value:.6g} {unit}")
 
 
-# Batch output goes to stdout in slices of this many rows: one write per
-# slice rather than per row, with no more than a slice held as text.
+# Batch output goes to stdout in slices of this many rows, one write (a system call
+# under `python -u` or on a terminal) per slice, with no more than a slice held as text.
 _ROWS_PER_WRITE = 1024
 
 

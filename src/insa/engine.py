@@ -22,7 +22,8 @@ from .constants import (
     validate_offsets,
 )
 from .errors import OutOfValidityRange
-from .geodesy import GeodeticPosition, _geopotential_slope, _to_geopotential
+from .geodesy import (GeodeticPosition, _geopotential_slope, _to_geopotential,
+                      check_latitude, normalize_longitude)
 from .offset_field import OffsetField
 from .static_atmosphere import _column_anchors, gradients_of_state, state_at_geopotential
 
@@ -61,6 +62,7 @@ class QuasiStaticModel:
 
     def offsets_at(self, t: float, lon: float, lat: float) -> Offsets:
         """Field evaluation at a finite time, validated against the model bounds."""
+        lon, lat = normalize_longitude(lon), check_latitude(lat)  # as GeodeticPosition does
         return validate_offsets(self._evaluate(t, lon, lat), self.bounds)
 
     def _evaluate(self, t: float, lon: float, lat: float):

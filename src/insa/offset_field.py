@@ -201,16 +201,14 @@ class OffsetGrid3D:
 def _bracket(axis: Sequence[float], x: float, name: str) -> tuple[int, int, float]:
     """Bracketing indices and weight on a non-periodic axis.
 
-    Exact node hits collapse to a single index with zero weight so that
-    evaluation reproduces stored values bit for bit.
+    A node starts its segment, with weight 0.  Only the last node, which has no
+    segment after it, is returned alone: a weight-1 blend ``a + (b - a)`` need not be ``b``.
     """
     if not axis[0] <= x <= axis[-1]:
         raise OutOfDomain(f"{name} {x!r} outside [{axis[0]}, {axis[-1]}]")
     if x == axis[-1]:
         return len(axis) - 1, len(axis) - 1, 0.0
     i = bisect_right(axis, x) - 1
-    if x == axis[i]:
-        return i, i, 0.0
     return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
 
 
@@ -218,8 +216,6 @@ def _bracket_periodic(axis: Sequence[float], lon: float) -> tuple[int, int, floa
     """Bracketing indices and weight on the periodic longitude axis."""
     x = normalize_longitude(lon)
     i = bisect_right(axis, x) - 1
-    if i >= 0 and x == axis[i]:
-        return i, i, 0.0
     if i < 0 or i == len(axis) - 1:
         # Seam segment from the last node around to the first one.
         gap = axis[0] + TWO_PI - axis[-1]

@@ -120,6 +120,19 @@ class TestProps:
         assert result.exit_code == 3
         assert "longitude must be finite" in result.output
 
+    def test_grid_latitude_beyond_pole_exit_code(self, runner, tmp_path):
+        grid_file = tmp_path / "grid.csv"
+        grid_file.write_text(GRID_TEXT)
+        result = runner.invoke(
+            main,
+            ["props", "--hp", "0", "--grid", str(grid_file),
+             "--time", "1800", "--lon", "15", "--lat", "100"],
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: latitude ")
+        assert result.stderr.endswith(" rad outside [-pi/2, pi/2]\n")
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_grid_non_finite_time_message(self, runner, tmp_path, t):
         grid_file = tmp_path / "grid.csv"

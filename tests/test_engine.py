@@ -615,6 +615,25 @@ class TestOnePolicyAcrossFields:
         with pytest.raises(OutOfValidityRange, match="^time must be finite"):
             model.property_rates(t, MSL, 1.0)
 
+    @pytest.mark.parametrize(
+        "lon, lat", [(math.nan, 0.0), (math.inf, 0.0), (0.5, 2.0), (0.5, math.nan)]
+    )
+    def test_offsets_at_bad_point_out_of_validity(self, kind, lon, lat):
+        model = QuasiStaticModel(field_holding(kind, Offsets(10.0, 0.0)), self.WIDE)
+        for t in (100.0, math.nan):  # the point is checked before the time
+            with pytest.raises(OutOfValidityRange, match="^(longitude|latitude) "):
+                model.offsets_at(t, lon, lat)
+
+
+def test_offsets_at_on_a_grid_checks_its_axes_after_the_band():
+    field = grid_model().field.inner  # latitude axis [-1.2, 1.2]
+    model = QuasiStaticModel(field, TestOnePolicyAcrossFields.WIDE)
+    with pytest.raises(OutOfDomain, match="^latitude 1.4 outside"):
+        model.offsets_at(100.0, 0.5, 1.4)  # inside [-pi/2, pi/2], beyond the axis
+    # The normalised longitude gives the field's own bits.
+    for lon in (0.5 + 2.0 * math.pi, -0.25, -1e-300, 0.0, 1.0, 3.0, 6.5, -7.0):
+        assert model.offsets_at(1234.5, lon, 0.3) == field.evaluate(1234.5, lon, 0.3)
+
 
 def test_grid_field_and_model_survive_pickling():
     field = grid_model().field.inner

@@ -564,6 +564,17 @@ class TestWholeBox:
         H = geopotential_from_hp(hp, o)
         assert hp_from_geopotential(H, o) == min(max(H + anchors(o).Hp_msl, HP_MIN), HP_TROP)
 
+    @given(st.sampled_from((0.0, -0.0)), st.floats(BOX.delta_p_min, BOX.delta_p_max),
+           HP_IN_TROPOSPHERE)
+    def test_zero_temperature_offset_is_an_exact_forward_shift(self, dT, dp, hp):
+        # The uncached build keeps the sign of dT; a cached equal pair may carry the other.
+        column = anchors.__wrapped__(Offsets(dT, dp))
+        assert math.copysign(1.0, column.offsets.delta_T) == math.copysign(1.0, dT)
+        for Hp in (hp, column.Hp_msl, HP_MIN, HP_TROP):
+            H, shift = geopotential_from_hp(Hp, column), Hp - column.Hp_msl
+            assert H == shift and math.copysign(1.0, H) == math.copysign(1.0, shift)
+        assert geopotential_from_hp(hp, Offsets(dT, dp)) == hp - anchors(Offsets(dT, dp)).Hp_msl
+
     @given(OFFSETS_IN_BOX, HP_IN_BAND, HP_IN_BAND)
     def test_geopotential_increases_with_pressure_altitude(self, o, hp1, hp2):
         low, high = sorted((hp1, hp2))
