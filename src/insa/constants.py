@@ -8,7 +8,6 @@ physical meaning in the codebase; everything else is derived from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NonPhysical, OutOfValidityRange
@@ -41,17 +40,54 @@ class Offsets(NamedTuple):
     delta_p: float  # pressure offset [Pa]
 
 
-@dataclass(frozen=True)
-class OffsetBounds:
+_set = object.__setattr__  # how constructors store into a _Frozen
+
+
+class _Frozen:
+    """Immutable value: repr, eq, hash and pickling from its ``_fields`` slots.
+
+    A subclass's ``__init__`` checks and stores every slot (fields, then caches)
+    through ``_set``; unpickling calls it, so a pickled value is checked again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class OffsetBounds(_Frozen):
     """Validity box for offset pairs; catches unit mistakes early."""
 
-    delta_T_min: float = -50.0     # [K]
-    delta_T_max: float = 50.0      # [K]
-    delta_p_min: float = -15000.0  # [Pa]
-    delta_p_max: float = 15000.0   # [Pa]
+    __slots__ = _fields = ("delta_T_min", "delta_T_max", "delta_p_min", "delta_p_max")
 
-    def __post_init__(self):
-        if not (self.delta_T_min <= self.delta_T_max and self.delta_p_min <= self.delta_p_max):
+    def __init__(self, delta_T_min: float = -50.0, delta_T_max: float = 50.0,  # [K]
+                 delta_p_min: float = -15000.0, delta_p_max: float = 15000.0):  # [Pa]
+        _set(self, "delta_T_min", delta_T_min)
+        _set(self, "delta_T_max", delta_T_max)
+        _set(self, "delta_p_min", delta_p_min)
+        _set(self, "delta_p_max", delta_p_max)
+        if not (delta_T_min <= delta_T_max and delta_p_min <= delta_p_max):
             raise ValueError(f"malformed offset bounds: {self}")
 
 

@@ -11,7 +11,6 @@ vertical term `gradient * dH/dt` is retained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 from .constants import (
@@ -19,6 +18,8 @@ from .constants import (
     Offsets,
     OffsetBounds,
     AtmosphericState,
+    _Frozen,
+    _set,
     validate_offsets,
 )
 from .errors import OutOfValidityRange
@@ -36,8 +37,7 @@ class PropertyRates(NamedTuple):
     drho_dt: float  # [kg/(m^3 s)]
 
 
-@dataclass(frozen=True)
-class QuasiStaticModel:
+class QuasiStaticModel(_Frozen):
     """A weather field bound to the static column model.
 
     One memo, ``((t, lon, lat, h), offsets, anchors, state)``, holds the
@@ -54,11 +54,13 @@ class QuasiStaticModel:
     hash.
     """
 
-    field: OffsetField
-    bounds: OffsetBounds = DEFAULT_OFFSET_BOUNDS
-    _memo: tuple = dataclass_field(
-        default=(None, None, None, None), init=False, repr=False, compare=False
-    )
+    _fields = ("field", "bounds")
+    __slots__ = _fields + ("_memo",)
+
+    def __init__(self, field: OffsetField, bounds: OffsetBounds = DEFAULT_OFFSET_BOUNDS):
+        _set(self, "field", field)
+        _set(self, "bounds", bounds)
+        _set(self, "_memo", (None, None, None, None))
 
     def offsets_at(self, t: float, lon: float, lat: float) -> Offsets:
         """Field evaluation at a finite time, validated against the model bounds."""
@@ -82,9 +84,7 @@ class QuasiStaticModel:
             column = _column_anchors(validate_offsets(offsets, self.bounds))
         H = _to_geopotential(position.h)  # h was checked with the position
         state = state_at_geopotential(H, column)
-        object.__setattr__(
-            self, "_memo", ((t, position.lon, position.lat, position.h), offsets, column, state)
-        )
+        _set(self, "_memo", ((t, position.lon, position.lat, position.h), offsets, column, state))
         return state
 
     def property_rates(

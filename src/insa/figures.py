@@ -20,9 +20,7 @@ H_dTdp   geopotential altitude [km] for five (delta_T, delta_p) pairs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .constants import BETA_T_ABOVE, BETA_T_BELOW, G0, HP_TROP, R_AIR, Offsets
+from .constants import BETA_T_ABOVE, BETA_T_BELOW, G0, HP_TROP, R_AIR, Offsets, _Frozen, _set
 from .errors import OutOfDomain
 from .static_atmosphere import (
     d_geopotential_d_hp,
@@ -43,20 +41,25 @@ _PAIR_SERIES = tuple(Offsets(dt, dp) for dt, dp in (
 ))
 
 
-@dataclass(frozen=True)
-class FigureSeries:
+class FigureSeries(_Frozen):
     """One ordinate column together with the offsets that produced it."""
 
-    name: str
-    values: tuple[float, ...]
-    offsets: Offsets | None = None  # None for offset-independent curves
+    __slots__ = _fields = ("name", "values", "offsets")
+
+    def __init__(self, name: str, values: tuple[float, ...], offsets: Offsets | None = None):
+        _set(self, "name", name)
+        _set(self, "values", values)
+        _set(self, "offsets", offsets)  # None for offset-independent curves
 
 
-@dataclass(frozen=True)
-class FigureTable:
-    figure_id: str
-    abscissa_km: tuple[float, ...]  # pressure altitude samples [km]
-    series: tuple[FigureSeries, ...]
+class FigureTable(_Frozen):
+    __slots__ = _fields = ("figure_id", "abscissa_km", "series")
+
+    def __init__(self, figure_id: str, abscissa_km: tuple[float, ...],
+                 series: tuple[FigureSeries, ...]):
+        _set(self, "figure_id", figure_id)
+        _set(self, "abscissa_km", abscissa_km)  # pressure altitude samples [km]
+        _set(self, "series", series)
 
 
 def _gradient_K_per_km(hp: float) -> float:

@@ -8,9 +8,8 @@ algebraic inverses of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .constants import RE
+from .constants import RE, _Frozen, _set
 from .errors import OutOfValidityRange
 
 TWO_PI = 2.0 * math.pi
@@ -43,16 +42,15 @@ def check_position(lon: float, lat: float, h: float) -> float:
     return lon
 
 
-@dataclass(frozen=True)
-class GeodeticPosition:
+class GeodeticPosition(_Frozen):
     """Position in longitude/latitude (rad) and geodetic altitude (m)."""
 
-    lon: float  # longitude [rad], normalized to [0, 2*pi) on construction
-    lat: float  # latitude [rad], in [-pi/2, pi/2]
-    h: float    # geodetic altitude [m]
+    __slots__ = _fields = ("lon", "lat", "h")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lon", check_position(self.lon, self.lat, self.h))
+    def __init__(self, lon: float, lat: float, h: float):
+        _set(self, "lon", check_position(lon, lat, h))  # [rad], normalized to [0, 2*pi)
+        _set(self, "lat", lat)  # [rad], in [-pi/2, pi/2]
+        _set(self, "h", h)      # geodetic altitude [m]
 
 
 def _to_geopotential(h: float) -> float:

@@ -25,11 +25,10 @@ import math
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, validate_offsets
+from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, _Frozen, _set, validate_offsets
 from .errors import (
     AtmosphereError,
     EmptyNode,
@@ -69,59 +68,59 @@ class OffsetField:
     Built-in fields check physics only; bounds are the consumer's.
     """
 
+    __slots__ = ()
+
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ConstantField(OffsetField):
+class ConstantField(_Frozen, OffsetField):
     """The degenerate field: one offset pair everywhere and always."""
 
-    offsets: Offsets
+    __slots__ = _fields = ("offsets",)
 
-    def __post_init__(self):
-        validate_offsets(self.offsets, PHYSICAL_ONLY)
+    def __init__(self, offsets: Offsets):
+        _set(self, "offsets", offsets)
+        validate_offsets(offsets, PHYSICAL_ONLY)
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
         return self.offsets
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(_Frozen):
     """An offset pair pinned to a time and horizontal position."""
 
-    t: float    # [s]
-    lon: float  # [rad]
-    lat: float  # [rad]
-    offsets: Offsets
+    __slots__ = _fields = ("t", "lon", "lat", "offsets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lon", normalize_longitude(self.lon))
-        check_latitude(self.lat)
-        if not math.isfinite(self.t):
-            raise OutOfValidityRange(f"waypoint time must be finite, got {self.t!r}")
-        validate_offsets(self.offsets, PHYSICAL_ONLY)
+    def __init__(self, t: float, lon: float, lat: float, offsets: Offsets):
+        _set(self, "t", t)  # [s]
+        _set(self, "lon", normalize_longitude(lon))  # [rad]
+        _set(self, "lat", check_latitude(lat))  # [rad]
+        _set(self, "offsets", offsets)
+        if not math.isfinite(t):
+            raise OutOfValidityRange(f"waypoint time must be finite, got {t!r}")
+        validate_offsets(offsets, PHYSICAL_ONLY)
 
 
 def _lerp_offsets(a: Offsets, b: Offsets, s: float) -> Offsets:
     return Offsets(a.delta_T + s * (b.delta_T - a.delta_T), a.delta_p + s * (b.delta_p - a.delta_p))
 
 
-@dataclass(frozen=True)
-class WaypointField(OffsetField):
+class WaypointField(_Frozen, OffsetField):
     """Piecewise-linear offsets over an ordered list of waypoints."""
 
-    waypoints: tuple[Waypoint, ...]
-    _times: tuple[float, ...] = dataclass_field(init=False, repr=False, compare=False)
+    _fields = ("waypoints",)
+    __slots__ = _fields + ("_times",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
-        if len(self.waypoints) < 2:
+    def __init__(self, waypoints: Iterable[Waypoint]):
+        waypoints = tuple(waypoints)
+        _set(self, "waypoints", waypoints)
+        if len(waypoints) < 2:
             raise ValueError("a waypoint field needs at least two waypoints")
-        times = tuple(w.t for w in self.waypoints)
+        times = tuple(w.t for w in waypoints)
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError(f"waypoint times must be strictly increasing, got {list(times)}")
-        object.__setattr__(self, "_times", times)
+        _set(self, "_times", times)
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
         points = self.waypoints
@@ -152,37 +151,40 @@ def _checked_axes(*axes: Iterable[float]) -> tuple[tuple[float, ...], ...]:
     return t, lon, lat
 
 
-@dataclass(frozen=True, eq=False)
-class OffsetGrid3D:
+class OffsetGrid3D(_Frozen):
     """Dense rectilinear grid of offset pairs over (t, lon, lat).
 
     Axes are strictly increasing; longitude nodes live in [0, 2*pi) and
     the axis is treated as periodic across the seam.  The value arrays are
     kept as C-contiguous float64 (copied only when given otherwise), the
-    storage ``GridField`` interpolates from.
+    storage ``GridField`` interpolates from.  Units: t [s], lon and lat
+    [rad], delta_T [K] and delta_p [Pa], arrays of shape (n_t, n_lon, n_lat).
     """
 
-    t_axis: tuple[float, ...]    # [s]
-    lon_axis: tuple[float, ...]  # [rad]
-    lat_axis: tuple[float, ...]  # [rad]
-    delta_T: np.ndarray          # [K], shape (n_t, n_lon, n_lat)
-    delta_p: np.ndarray          # [Pa], shape (n_t, n_lon, n_lat)
+    __slots__ = _fields = ("t_axis", "lon_axis", "lat_axis", "delta_T", "delta_p")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        axes = _checked_axes(self.t_axis, self.lon_axis, self.lat_axis)
-        for name, axis in zip(("t_axis", "lon_axis", "lat_axis"), axes):
-            object.__setattr__(self, name, axis)
+    def __init__(self, t_axis: Iterable[float], lon_axis: Iterable[float],
+                 lat_axis: Iterable[float], delta_T: np.ndarray, delta_p: np.ndarray):
+        self.__post_init__(t_axis, lon_axis, lat_axis, delta_T, delta_p)
+
+    def __post_init__(self, t_axis, lon_axis, lat_axis, delta_T, delta_p):
+        # The checks and stores. perfbench's grid_build metric times this name.
+        t_axis, lon_axis, lat_axis = _checked_axes(t_axis, lon_axis, lat_axis)
+        _set(self, "t_axis", t_axis)
+        _set(self, "lon_axis", lon_axis)
+        _set(self, "lat_axis", lat_axis)
         import numpy as np
 
-        shape = (len(self.t_axis), len(self.lon_axis), len(self.lat_axis))
-        dT = np.ascontiguousarray(self.delta_T, dtype=float)
-        dp = np.ascontiguousarray(self.delta_p, dtype=float)
+        shape = (len(t_axis), len(lon_axis), len(lat_axis))
+        dT = np.ascontiguousarray(delta_T, dtype=float)
+        dp = np.ascontiguousarray(delta_p, dtype=float)
         if dT.shape != shape or dp.shape != shape:
             raise ValueError(
                 f"value arrays must have shape {shape}, got {dT.shape} and {dp.shape}"
             )
-        object.__setattr__(self, "delta_T", dT)
-        object.__setattr__(self, "delta_p", dp)
+        _set(self, "delta_T", dT)
+        _set(self, "delta_p", dp)
         # The node-wise physics test as masks; the first failing node in
         # C order then raises through ``validate_offsets`` itself.
         with np.errstate(invalid="ignore"):
@@ -246,8 +248,7 @@ def _trilerp(
     return c0 + wk * (c1 - c0)
 
 
-@dataclass(frozen=True, eq=False)
-class GridField(OffsetField):
+class GridField(_Frozen, OffsetField):
     """Trilinear interpolation over an offset grid.
 
     Time and latitude queries must stay inside the axis ranges, so a
@@ -262,18 +263,15 @@ class GridField(OffsetField):
     replaces the memo, so a field shared between threads can at worst miss.
     """
 
-    grid: OffsetGrid3D
-    _flat: tuple[memoryview, memoryview] = dataclass_field(init=False, repr=False)
-    _cell: tuple = dataclass_field(default=(math.nan,) * 10, init=False, repr=False)  # NaN: no hit
+    _fields = ("grid",)
+    __slots__ = _fields + ("_flat", "_cell")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        grid = self.grid
+    def __init__(self, grid: OffsetGrid3D):
+        _set(self, "grid", grid)
         flat = (memoryview(grid.delta_T.reshape(-1)), memoryview(grid.delta_p.reshape(-1)))
-        object.__setattr__(self, "_flat", flat)
-
-    def __reduce__(self):
-        # Memoryviews do not pickle; the grid alone rebuilds the field.
-        return type(self), (self.grid,)
+        _set(self, "_flat", flat)
+        _set(self, "_cell", (math.nan,) * 10)  # NaN: no hit
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
         t0, t1, x0, x1, y0, y1, dt, dx, dy, corners = self._cell
@@ -291,12 +289,12 @@ class GridField(OffsetField):
             r01, r11 = i0 * row + j1 * n_lat, i1 * row + j1 * n_lat
             corners = (r00 + k0, r10 + k0, r01 + k0, r11 + k0,
                        r00 + k1, r10 + k1, r01 + k1, r11 + k1)
-            if i0 != i1 and j0 != j1 and k0 != k1:  # j1 == 0: the seam cell east of xs[-1]
-                x1 = xs[j1] if j1 else TWO_PI
+            if i0 != i1 and k0 != k1:  # not a last node alone; j0 != j1 always holds
+                x1 = xs[j1] if j1 else TWO_PI  # j1 == 0: the seam cell east of xs[-1]
                 dx = (xs[j1] if j1 else xs[0] + TWO_PI) - xs[j0]  # as the brackets divide
                 cell = (ts[i0], ts[i1], xs[j0], x1, ys[k0], ys[k1],
                         ts[i1] - ts[i0], dx, ys[k1] - ys[k0], corners)
-                object.__setattr__(self, "_cell", cell)
+                _set(self, "_cell", cell)
         dT, dp = self._flat
         return Offsets(_trilerp(dT, corners, wi, wj, wk), _trilerp(dp, corners, wi, wj, wk))
 

@@ -3,8 +3,8 @@
 ``OffsetBounds``, ``GeodeticPosition``, ``QuasiStaticModel``,
 ``FigureSeries``, ``FigureTable``, ``ConstantField``, ``Waypoint``,
 ``WaypointField``, ``OffsetGrid3D`` and ``GridField`` are immutable: they
-print as ``Type(name=value, ...)``, refuse assignment and deletion, and
-survive ``pickle`` and ``copy.deepcopy``.  The grid types compare and hash
+print as ``Type(name=value, ...)``, refuse assignment and deletion, keep
+no instance ``__dict__``, and survive ``pickle`` and ``copy.deepcopy``.  The grid types compare and hash
 by identity; the others by type and field values.
 """
 
@@ -159,6 +159,15 @@ def test_attributes_cannot_be_set_or_deleted(name):
     with pytest.raises(AttributeError):
         value.extra = 0.0
     assert repr(value) == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_no_instance_dict(name):
+    build, _, _ = CASES[name]
+    value = build()
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(TypeError):
+        vars(value)
 
 
 @pytest.mark.parametrize("name", NAMES)
