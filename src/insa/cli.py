@@ -197,8 +197,8 @@ def cmd_figure(args):
 def cmd_grid_validate(args):
     """Check an offset grid file against the default bounds and print a summary."""
     grid = load_grid(_read_text(args.grid_file))
-    dT = (float(grid.delta_T.min()), float(grid.delta_T.max()))
-    dp = (float(grid.delta_p.min()), float(grid.delta_p.max()))
+    flat_T, flat_p = grid.delta_T.cast("B").cast("d"), grid.delta_p.cast("B").cast("d")
+    dT, dp = (min(flat_T), max(flat_T)), (min(flat_p), max(flat_p))
     validate_offsets(Offsets(dT[0], dp[0]))
     validate_offsets(Offsets(dT[1], dp[1]))
     lon_deg = [math.degrees(v) for v in grid.lon_axis]

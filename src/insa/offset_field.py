@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from bisect import bisect_right
-from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import chain, count, repeat
+from operator import truediv
+from typing import Iterable, Iterator, Sequence
 
 from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, _Frozen, _set, validate_offsets
 from .errors import (
@@ -40,9 +41,6 @@ from .errors import (
 )
 from .geodesy import TWO_PI, check_latitude, normalize_longitude
 from .identification import Observation, identify_offsets
-
-if TYPE_CHECKING:  # numpy is imported where grids are built, not with the package
-    import numpy as np
 
 GRID_HEADER = "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"
 OBSERVATION_HEADER = "t_s,lon_deg,lat_deg,h_m,p_pa,t_k"
@@ -151,21 +149,66 @@ def _checked_axes(*axes: Iterable[float]) -> tuple[tuple[float, ...], ...]:
     return t, lon, lat
 
 
+def _shaped(flat: array, shape: tuple[int, ...]) -> memoryview:
+    """A C-order float64 view of ``shape`` on the flat array, no copy."""
+    return memoryview(flat).cast("B").cast("d", shape)
+
+
+def _node_values(values, shape: tuple[int, int, int], name: str) -> memoryview:
+    """``values`` as a float64 memoryview of ``shape`` in C order.
+
+    A C-contiguous float64 buffer of that shape is viewed without a copy;
+    any other buffer or nested sequence is copied into an ``array('d')``.
+    """
+    try:
+        view = memoryview(values)
+    except TypeError:  # not a buffer: nested sequences
+        rows = [values]
+    else:
+        if view.format == "d" and view.c_contiguous and view.shape == shape:
+            return view
+        try:
+            rows = [view.tolist()]
+        except NotImplementedError:  # a format memoryview cannot read: iterate
+            rows = [values]
+    for axis, n in enumerate(shape):
+        try:
+            ragged = any(len(row) != n for row in rows)
+        except TypeError:  # a number where a row belongs
+            ragged = True
+        if ragged:
+            raise ValueError(f"value arrays must have shape {shape}; {name} differs on axis {axis}")
+        rows = list(chain.from_iterable(rows))
+    return _shaped(array("d", map(float, rows)), shape)
+
+
+def _show(values: memoryview) -> str:
+    """Node values as nested lists, or by shape above numpy's 1000-element summary threshold."""
+    if values.nbytes > 8000:
+        return f"<float64 {'x'.join(map(str, values.shape))}>"
+    return repr(values.tolist())
+
+
 class OffsetGrid3D(_Frozen):
     """Dense rectilinear grid of offset pairs over (t, lon, lat).
 
     Axes are strictly increasing; longitude nodes live in [0, 2*pi) and
-    the axis is treated as periodic across the seam.  The value arrays are
-    kept as C-contiguous float64 (copied only when given otherwise), the
-    storage ``GridField`` interpolates from.  Units: t [s], lon and lat
-    [rad], delta_T [K] and delta_p [Pa], arrays of shape (n_t, n_lon, n_lat).
+    the axis is treated as periodic across the seam.  ``delta_T`` and
+    ``delta_p`` are float64 ``memoryview``s of shape (n_t, n_lon, n_lat)
+    in C order, the storage ``GridField`` interpolates from: index them as
+    ``grid.delta_T[i, j, k]`` and use ``np.asarray(grid.delta_T)`` for
+    array work.  A C-contiguous float64 input, such as a numpy array, is
+    viewed without a copy, so a write through either side is seen by the
+    other; any other input (nested sequences, other dtypes or layouts) is
+    copied into an ``array('d')``.  Units: t [s], lon and lat [rad],
+    delta_T [K] and delta_p [Pa].
     """
 
     __slots__ = _fields = ("t_axis", "lon_axis", "lat_axis", "delta_T", "delta_p")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, t_axis: Iterable[float], lon_axis: Iterable[float],
-                 lat_axis: Iterable[float], delta_T: np.ndarray, delta_p: np.ndarray):
+                 lat_axis: Iterable[float], delta_T, delta_p):
         self.__post_init__(t_axis, lon_axis, lat_axis, delta_T, delta_p)
 
     def __post_init__(self, t_axis, lon_axis, lat_axis, delta_T, delta_p):
@@ -174,26 +217,26 @@ class OffsetGrid3D(_Frozen):
         _set(self, "t_axis", t_axis)
         _set(self, "lon_axis", lon_axis)
         _set(self, "lat_axis", lat_axis)
-        import numpy as np
-
         shape = (len(t_axis), len(lon_axis), len(lat_axis))
-        dT = np.ascontiguousarray(delta_T, dtype=float)
-        dp = np.ascontiguousarray(delta_p, dtype=float)
-        if dT.shape != shape or dp.shape != shape:
-            raise ValueError(
-                f"value arrays must have shape {shape}, got {dT.shape} and {dp.shape}"
-            )
+        dT = _node_values(delta_T, shape, "delta_T")
+        dp = _node_values(delta_p, shape, "delta_p")
         _set(self, "delta_T", dT)
         _set(self, "delta_p", dp)
-        # The node-wise physics test as masks; the first failing node in
-        # C order then raises through ``validate_offsets`` itself.
-        with np.errstate(invalid="ignore"):
-            valid = np.isfinite(dT) & np.isfinite(dp) & (dp > -P0) & (dT > -T_ISA_TROP)
-        if not valid.all():
-            first = int(np.argmin(valid.ravel()))
-            validate_offsets(
-                Offsets(float(dT.flat[first]), float(dp.flat[first])), PHYSICAL_ONLY
-            )
+        # Finite sums and minima above the floors clear every node at once; a
+        # sum that overflows only costs the scan. Otherwise the first failing
+        # node in C order raises through ``validate_offsets`` itself.
+        flat_T, flat_p = dT.cast("B").cast("d"), dp.cast("B").cast("d")
+        if not (math.isfinite(sum(flat_T) + sum(flat_p))
+                and min(flat_T) > -T_ISA_TROP and min(flat_p) > -P0):
+            for pair in zip(flat_T, flat_p):
+                validate_offsets(Offsets(*pair), PHYSICAL_ONLY)
+
+    def __repr__(self) -> str:
+        axes = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields[:3])
+        return f"OffsetGrid3D({axes}, delta_T={_show(self.delta_T)}, delta_p={_show(self.delta_p)})"
+
+    def __reduce__(self):  # a memoryview does not pickle; nested lists do
+        return type(self), (*self._values()[:3], self.delta_T.tolist(), self.delta_p.tolist())
 
     @property
     def n_nodes(self) -> int:
@@ -253,9 +296,9 @@ class GridField(_Frozen, OffsetField):
 
     Time and latitude queries must stay inside the axis ranges, so a
     non-finite one is ``OutOfDomain``; longitude wraps across the 2*pi
-    seam.  Values are read through flat memoryviews of the grid's own
-    arrays, which is much cheaper than indexing numpy element by element
-    and adds no copy.
+    seam.  Values are read through flat 1-D casts of the grid's own
+    memoryviews, so a write to the grid is seen at once and nothing is
+    copied.
 
     ``evaluate`` remembers the last cell it was strictly inside (bounds,
     denominators, corner indices; no values) and skips the bracketing for
@@ -269,7 +312,7 @@ class GridField(_Frozen, OffsetField):
 
     def __init__(self, grid: OffsetGrid3D):
         _set(self, "grid", grid)
-        flat = (memoryview(grid.delta_T.reshape(-1)), memoryview(grid.delta_p.reshape(-1)))
+        flat = (grid.delta_T.cast("B").cast("d"), grid.delta_p.cast("B").cast("d"))
         _set(self, "_flat", flat)
         _set(self, "_cell", (math.nan,) * 10)  # NaN: no hit
 
@@ -374,8 +417,120 @@ def _parse_values(source: str, expected_header: str) -> array:
     return values
 
 
+def _strided_axis(column: memoryview) -> tuple[list[float], int] | None:
+    """The ascending axis a coordinate column repeats at one stride, and that stride.
+
+    The stride is the number of leading rows that hold the first value; the
+    axis is read from the column at that stride, and the whole column must
+    equal the axis with each value repeated ``stride`` times, over and over.
+    None when it does not.
+    """
+    first = column[0]
+    stride = next((row for row, v in enumerate(column) if v != first), len(column))
+    lead = column[::stride]
+    n = 1
+    while n < len(lead) and lead[n] > lead[n - 1]:
+        n += 1
+    if len(column) % (n * stride):
+        return None
+    axis = lead[:n].tolist()
+    period = array("d")
+    for value in axis:
+        period.extend(array("d", (value,)) * stride)
+    if column != memoryview(period * (len(column) // len(period))):
+        return None
+    return axis, stride
+
+
+def _nested_rows(columns: list[memoryview]) -> tuple[list, list[array]] | None:
+    """Axes and C-order node values of rows that nest the three axes in any order.
+
+    Each coordinate column must repeat its axis at its own stride, and the
+    strides must nest: 1, then each the product of the axis lengths under
+    it, the last times its length giving the row count.  Every row then
+    holds its own node.  None otherwise, or for an out-of-range coordinate.
+    """
+    found = [_strided_axis(column) for column in columns[:3]]
+    if None in found:
+        return None
+    axes, strides = zip(*found)
+    expected = 1
+    for stride, n in sorted(zip(strides, map(len, axes))):
+        if stride != expected:
+            return None
+        expected *= n
+    if expected != len(columns[0]):
+        return None
+    if not (all(0.0 <= v < 360.0 for v in axes[1]) and all(-90.0 <= v <= 90.0 for v in axes[2])):
+        return None
+    # Runs of values evenly spaced in the file, each a stretch of C order:
+    # the latitude run, widened over longitude and then time while the
+    # strides allow (once in all for rows in C order).
+    dims = list(zip(strides, map(len, axes)))
+    step, run = dims.pop()
+    while dims and dims[-1][0] == step * run:
+        run *= dims.pop()[1]
+    starts = [0]
+    for stride, n in dims:
+        starts = [start + i * stride for start in starts for i in range(n)]
+    span = (run - 1) * step + 1
+    values = [
+        array("d", b"".join(column[start:start + span:step].tobytes() for start in starts))
+        for column in columns[3:]
+    ]
+    return list(axes), values
+
+
+def _any_rows(columns: list[memoryview]) -> tuple[list, list[array]]:
+    """Axes and C-order node values of rows in any order, one row at a time.
+
+    Raises the loader's errors for the first offending row or node.  Every
+    list here has one entry per row or per axis value, none per node: a
+    bad file's axes can span far more nodes than it has rows.
+    """
+    for lon, lat in zip(columns[1], columns[2]):  # longitude first within a row
+        if not 0.0 <= lon < 360.0:
+            raise ParseError(f"longitude {lon} deg outside [0, 360)")
+        if not -90.0 <= lat <= 90.0:
+            raise ParseError(f"latitude {lat} deg outside [-90, 90]")
+    axes, positions = [], []
+    for name, column in zip(("time", "longitude", "latitude"), columns):
+        # Values in the order first seen; of -0.0 and 0.0 the first written stays.
+        order = list(dict.fromkeys(column))
+        if len(order) >= 2 and all(a > b for a, b in zip(order, order[1:])):
+            raise NonMonotonicAxis(
+                f"{name} axis values appear in descending order; list them ascending"
+            )
+        axis = sorted(order)
+        index = {v: i for i, v in enumerate(axis)}
+        axes.append(axis)
+        positions.append(map(index.__getitem__, column))
+    _, n_lon, n_lat = map(len, axes)
+    nodes = [(i * n_lon + j) * n_lat + k for i, j, k in zip(*positions)]  # C order
+    if len(set(nodes)) < len(nodes):  # the first row that repeats a node
+        seen: set[int] = set()
+        row = next(row for row, node in enumerate(nodes) if node in seen or seen.add(node))
+        t, lon, lat = (column[row] for column in columns[:3])
+        raise ParseError(f"duplicate node t={t}, lon={lon}, lat={lat}")
+    if len(nodes) < math.prod(map(len, axes)):  # the first node missing in C order
+        present = set(nodes)
+        missing = next(node for node in count() if node not in present)
+        i, rest = divmod(missing, n_lon * n_lat)
+        t, lon, lat = axes[0][i], axes[1][rest // n_lat], axes[2][rest % n_lat]
+        raise IncompleteGrid(f"missing node t={t}, lon={lon}, lat={lat}")
+    row_of = nodes[:]  # a complete grid has one row per node
+    for row, node in enumerate(nodes):
+        row_of[node] = row
+    contiguous = (array("d", column.tobytes()) for column in columns[3:])
+    return axes, [array("d", map(values.__getitem__, row_of)) for values in contiguous]
+
+
 def load_grid(source: str) -> OffsetGrid3D:
     """Build an offset grid from grid-file content.
+
+    Rows may list the nodes in any order.  Rows that nest the axes (any
+    axis slowest, any next) are read by strided slices; other orders take
+    a per-row path with the same result.
 
     Raises:
         ParseError: malformed header, rows, numbers, coordinate ranges,
@@ -388,51 +543,18 @@ def load_grid(source: str) -> OffsetGrid3D:
             kelvin, such as ``delta_t_k = -300``.
         OutOfValidityRange: a non-finite node value.
     """
-    import numpy as np
-
-    data = np.frombuffer(_parse_values(source, GRID_HEADER)).reshape(-1, 5)
-    lon_deg, lat_deg = data[:, 1], data[:, 2]
-    bad_lon = ~((0.0 <= lon_deg) & (lon_deg < 360.0))
-    bad = bad_lon | ~((-90.0 <= lat_deg) & (lat_deg <= 90.0))
-    if bad.any():  # the first bad row in the file; longitude first within it
-        i = int(bad.argmax())
-        if bad_lon[i]:
-            raise ParseError(f"longitude {float(lon_deg[i])} deg outside [0, 360)")
-        raise ParseError(f"latitude {float(lat_deg[i])} deg outside [-90, 90]")
-
-    axes_deg, positions = [], []
-    for k, name in enumerate(("time", "longitude", "latitude")):
-        # Sorted axis, each value's first row and each row's position. With
-        # return_index the sort is stable, so of -0.0 and 0.0 the first written stays.
-        axis, first, position = np.unique(data[:, k], return_index=True, return_inverse=True)
-        if len(axis) >= 2 and (np.diff(first) < 0).all():  # first seen in descending order
-            raise NonMonotonicAxis(
-                f"{name} axis values appear in descending order; list them ascending"
-            )
-        axes_deg.append(axis.tolist())
-        positions.append(position)
-
-    # One flat C-order node index per row; a whole grid has one row per node.
-    # Every array here has one entry per row, none per node: a bad file's
-    # axes can span far more nodes than it has rows.
-    shape = tuple(map(len, axes_deg))
-    nodes, rows = np.unique(np.ravel_multi_index(positions, shape), return_index=True)
-    if len(nodes) < len(data):  # the first row in the file that repeats a node
-        t, lon, lat = data[np.setdiff1d(np.arange(len(data)), rows)[0], :3].tolist()
-        raise ParseError(f"duplicate node t={t}, lon={lon}, lat={lat}")
-    if len(nodes) < math.prod(shape):  # the first node missing in C order
-        # nodes[i] - i never falls, so nodes[i] == i holds on a prefix only.
-        missing = np.count_nonzero(nodes == np.arange(len(nodes)))
-        t, lon, lat = (a[i] for a, i in zip(axes_deg, np.unravel_index(missing, shape)))
-        raise IncompleteGrid(f"missing node t={t}, lon={lon}, lat={lat}")
-
-    t_axis, lon_axis_deg, lat_axis_deg = axes_deg
+    values = memoryview(_parse_values(source, GRID_HEADER))
+    columns = [values[k::5] for k in range(5)]
+    (t_axis, lon_axis_deg, lat_axis_deg), (dT, dp) = (
+        _nested_rows(columns) or _any_rows(columns)
+    )
+    shape = (len(t_axis), len(lon_axis_deg), len(lat_axis_deg))
     return OffsetGrid3D(
         t_axis=tuple(t_axis),
         lon_axis=tuple(map(math.radians, lon_axis_deg)),
         lat_axis=tuple(map(math.radians, lat_axis_deg)),
-        delta_T=data[rows, 3].reshape(shape),  # a gather: -0.0 stays -0.0
-        delta_p=data[rows, 4].reshape(shape),
+        delta_T=_shaped(dT, shape),  # gathered, never computed: -0.0 stays -0.0
+        delta_p=_shaped(dp, shape),
     )
 
 
@@ -451,8 +573,22 @@ def load_observations(source: str) -> list[Observation]:
     return observations
 
 
+def _lowest_nearest(distance, start: int) -> int:
+    """Walk down from ``start`` while the next lower node is no farther.
+
+    ``start`` must be no farther than every node above it, and distances
+    must not fall walking down from the nearest one, so equal distances
+    end at the lowest index: the lower index wins an exact tie.
+    """
+    while start and distance(start - 1) <= distance(start):
+        start -= 1
+    return start
+
+
 def _nearest_index(axis: Sequence[float], x: float) -> int:
-    return min(range(len(axis)), key=lambda i: abs(axis[i] - x))
+    return _lowest_nearest(
+        lambda i: abs(axis[i] - x), min(bisect_left(axis, x), len(axis) - 1)
+    )
 
 
 def _nearest_lon_index(axis: Sequence[float], lon: float) -> int:
@@ -462,7 +598,13 @@ def _nearest_lon_index(axis: Sequence[float], lon: float) -> int:
         d = abs(axis[i] - x) % TWO_PI
         return min(d, TWO_PI - d)
 
-    return min(range(len(axis)), key=distance)
+    i = bisect_left(axis, x)
+    if 0 < i < len(axis):
+        return _lowest_nearest(distance, i)
+    # In the seam cell: node 0 wins a tie with the last node across the seam.
+    if distance(0) <= distance(len(axis) - 1):
+        return 0
+    return _lowest_nearest(distance, len(axis) - 1)
 
 
 def grid_from_observations(
@@ -474,8 +616,9 @@ def grid_from_observations(
     """Assemble an offset grid by identifying and node-averaging observations.
 
     Each observation is identified individually, assigned to its nearest
-    grid node (per-axis nearest, longitude measured around the circle),
-    and node values are the unweighted means of their assigned offsets.
+    grid node (per-axis nearest, longitude measured around the circle,
+    the lower index on a tie), and node values are the unweighted means
+    of their assigned offsets.
 
     Raises:
         NonMonotonicAxis: an empty, short, unordered or non-finite axis,
@@ -483,31 +626,30 @@ def grid_from_observations(
         EmptyNode: some node received no observation.
         Identification errors propagate for the offending record.
     """
-    import numpy as np
-
     t_axis, lon_axis, lat_axis = _checked_axes(t_axis, lon_axis, lat_axis)
     shape = (len(t_axis), len(lon_axis), len(lat_axis))
-    sums_T = np.zeros(shape)
-    sums_p = np.zeros(shape)
-    counts = np.zeros(shape, dtype=int)
+    _, n_lon, n_lat = shape
+    n_nodes = math.prod(shape)
+    sums_T, sums_p, counts = [0.0] * n_nodes, [0.0] * n_nodes, [0] * n_nodes
     for obs in observations:
         offsets = identify_offsets(obs)
         it = _nearest_index(t_axis, obs.t)
         il = _nearest_lon_index(lon_axis, obs.lon)
         ik = _nearest_index(lat_axis, obs.lat)
-        sums_T[it, il, ik] += offsets.delta_T
-        sums_p[it, il, ik] += offsets.delta_p
-        counts[it, il, ik] += 1
-    if (counts == 0).any():
-        it, il, ik = (int(i[0]) for i in np.nonzero(counts == 0))
+        node = (it * n_lon + il) * n_lat + ik
+        sums_T[node] += offsets.delta_T
+        sums_p[node] += offsets.delta_p
+        counts[node] += 1
+    if 0 in counts:  # the first empty node in C order
+        it, rest = divmod(counts.index(0), n_lon * n_lat)
         raise EmptyNode(
-            f"no observation near node t={t_axis[it]}, lon={lon_axis[il]},"
-            f" lat={lat_axis[ik]}"
+            f"no observation near node t={t_axis[it]}, lon={lon_axis[rest // n_lat]},"
+            f" lat={lat_axis[rest % n_lat]}"
         )
     return OffsetGrid3D(
         t_axis=t_axis,
         lon_axis=lon_axis,
         lat_axis=lat_axis,
-        delta_T=sums_T / counts,
-        delta_p=sums_p / counts,
+        delta_T=_shaped(array("d", map(truediv, sums_T, counts)), shape),
+        delta_p=_shaped(array("d", map(truediv, sums_p, counts)), shape),
     )

@@ -613,3 +613,34 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert out.stdout.split() == ["False", "False"]
     assert out.stderr.split() == ["False", "False", "False"]
+
+
+def test_grid_paths_leave_numpy_unloaded(tmp_path):
+    grid_file = tmp_path / "grid.csv"
+    grid_file.write_text(GRID_TEXT)
+    code = f"""
+import contextlib, io, math, sys
+from insa import GridField, grid_from_observations, load_grid
+from insa.cli import main
+from insa.identification import Observation
+for args in (["props", "--hp", "0", "--grid", {str(grid_file)!r}, "--time", "1800",
+              "--lon", "15", "--lat", "45"], ["grid-validate", {str(grid_file)!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main.main(args=args)
+        except SystemExit as exit_:
+            assert exit_.code == 0, (args, exit_.code)
+with open({str(grid_file)!r}, encoding="utf-8") as f:
+    field = GridField(load_grid(f.read()))
+assert field.evaluate(1800.0, math.radians(15.0), 0.7) == (10.0, 2500.0)
+axes = (0.0, 3600.0), (0.1, 0.2), (0.6, 0.7)
+observations = [Observation(t, lon, lat, 0.0, 101325.0, 288.15)
+                for t in axes[0] for lon in axes[1] for lat in axes[2]]
+assert grid_from_observations(observations, *axes).n_nodes == 8
+print("numpy" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["False"]

@@ -49,9 +49,8 @@ def _grid():
 
 _GRID_REPR = (
     "OffsetGrid3D(t_axis=(0.0, 3600.0), lon_axis=(0.0, 3.0), lat_axis=(-0.5, 0.5),"
-    " delta_T=array([[[0., 1.],\n        [2., 3.]],\n\n       [[4., 5.],\n        [6., 7.]]]),"
-    " delta_p=array([[[250., 250.],\n        [250., 250.]],\n\n"
-    "       [[250., 250.],\n        [250., 250.]]]))"
+    " delta_T=[[[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [6.0, 7.0]]],"
+    " delta_p=[[[250.0, 250.0], [250.0, 250.0]], [[250.0, 250.0], [250.0, 250.0]]])"
 )
 
 # Each type: a function that builds one value, the repr it must keep, and a field.

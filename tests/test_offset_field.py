@@ -234,8 +234,8 @@ class TestGridField:
             lon = rng.uniform(0.0, TWO_PI)
             lat = rng.uniform(math.radians(-60.0), math.radians(60.0))
             got = field.evaluate(t, lon, lat)
-            assert grid.delta_T.min() - 1e-9 <= got.delta_T <= grid.delta_T.max() + 1e-9
-            assert grid.delta_p.min() - 1e-9 <= got.delta_p <= grid.delta_p.max() + 1e-9
+            assert np.min(grid.delta_T) - 1e-9 <= got.delta_T <= np.max(grid.delta_T) + 1e-9
+            assert np.min(grid.delta_p) - 1e-9 <= got.delta_p <= np.max(grid.delta_p) + 1e-9
 
     def test_out_of_domain(self):
         field = GridField(make_grid())
@@ -423,7 +423,7 @@ class TestGridKernel:
         assert (layout == "c") == sT.flags.c_contiguous
         t_axis, lon_axis, lat_axis = self.axes()
         grid = OffsetGrid3D(t_axis, lon_axis, lat_axis, sT, sp)
-        assert grid.delta_T.flags.c_contiguous and grid.delta_p.flags.c_contiguous
+        assert grid.delta_T.c_contiguous and grid.delta_p.c_contiguous
         field = GridField(grid)
         for t, lon, lat in self.queries(t_axis, lon_axis, lat_axis):
             got = field.evaluate(t, lon, lat)
@@ -434,11 +434,67 @@ class TestGridKernel:
     def test_reads_the_grids_own_storage(self):
         dT, dp = self.values()
         grid = OffsetGrid3D(*self.axes(), dT, dp)
-        assert grid.delta_T is dT and grid.delta_p is dp  # C-contiguous input: no copy
+        # C-contiguous input: no copy
+        assert np.shares_memory(np.asarray(grid.delta_T), dT)
+        assert np.shares_memory(np.asarray(grid.delta_p), dp)
         field = GridField(grid)
         t, lon, lat = grid.t_axis[2], grid.lon_axis[3], grid.lat_axis[4]
         grid.delta_T[2, 3, 4] = 12.5
         assert field.evaluate(t, lon, lat).delta_T == 12.5
+
+
+class TestGridStorage:
+    """The value views: C-order float64 bytes whatever the input, shared when it already is."""
+
+    shape = (4, 5, 6)
+
+    def values(self):
+        rng = np.random.default_rng(73)
+        dT = rng.uniform(-40.0, 40.0, self.shape)
+        dT[0, 0, :2] = -0.0, 0.0
+        return dT, rng.uniform(-9000.0, 9000.0, self.shape)
+
+    def axes(self):
+        n_t, n_lon, n_lat = self.shape
+        return (tuple(600.0 * i for i in range(n_t)), tuple(i / n_lon for i in range(n_lon)),
+                tuple(0.2 * i - 0.5 for i in range(n_lat)))
+
+    @pytest.mark.parametrize("make", [
+        *(make for _, make in _layouts()),
+        lambda a: a.tolist(),
+        lambda a: tuple(map(tuple, a)),
+        lambda a: a.astype(np.float32),
+        lambda a: np.round(a).astype(np.int64),
+        lambda a: a.astype(">f8"),
+    ], ids=[*(name for name, _ in _layouts()), "lists", "tuples", "float32", "int64", "big_endian"])
+    def test_any_input_gives_the_c_order_bytes(self, make):
+        dT, dp = self.values()
+        sT, sp = make(dT), make(dp)
+        grid = OffsetGrid3D(*self.axes(), sT, sp)
+        for got, given in ((grid.delta_T, sT), (grid.delta_p, sp)):
+            assert (got.format, got.shape, got.c_contiguous) == ("d", self.shape, True)
+            want = np.ascontiguousarray(given, dtype=float)
+            assert np.asarray(got).tobytes() == want.tobytes()
+            shared = isinstance(given, np.ndarray) and np.shares_memory(np.asarray(got), given)
+            assert shared == (want is given)  # viewed exactly when numpy makes no copy
+
+    def test_ragged_or_shallow_nested_lists_rejected(self):
+        ragged = np.zeros(self.shape).tolist()
+        ragged[3][4].pop()
+        for dT, dp in ((ragged, np.zeros(self.shape)), (np.zeros(self.shape), [[0.0] * 5] * 4)):
+            with pytest.raises(ValueError, match=r"value arrays must have shape \(4, 5, 6\)"):
+                OffsetGrid3D(*self.axes(), dT, dp)
+
+    def test_repr_stays_short_for_a_large_grid(self):
+        n_t, n_lon, n_lat = 24, 144, 73
+        grid = OffsetGrid3D(
+            tuple(range(n_t)), tuple(i / 24 for i in range(n_lon)),
+            tuple(i / 50 - 0.72 for i in range(n_lat)),
+            np.zeros((n_t, n_lon, n_lat)), np.zeros((n_t, n_lon, n_lat)),
+        )
+        text = repr(grid)
+        assert "delta_T=<float64 24x144x73>, delta_p=<float64 24x144x73>)" in text
+        assert len(text) < 6000 and " at 0x" not in text
 
 
 def memo_grid():
@@ -872,6 +928,47 @@ class TestLoadGridDifferential:
         assert _load_outcome(load_grid, text) == _load_outcome(reference_load_grid, text)
 
 
+def _nesting_orders():
+    """One grid with 4 to 6 nodes per axis and -0.0 in coordinates and values,
+    as rows in C order, in all six nestings and shuffled."""
+    axes = ([-0.0, 600.0, 1200.0, 3600.0], [-0.0, 10.0, 90.0, 180.0, 350.0],
+            [-60.0, -30.0, -0.0, 15.0, 45.0, 90.0])
+    rng = random.Random(79)
+    nodes = {
+        node: (rng.choice([-0.0, 0.0, rng.uniform(-40.0, 40.0)]), rng.uniform(-9e3, 9e3))
+        for node in itertools.product(*axes)
+    }
+    texts = {}
+    for nesting in itertools.permutations(range(3)):
+        rows = [
+            [node[nesting.index(k)] for k in range(3)]
+            for node in itertools.product(*(axes[k] for k in nesting))
+        ]
+        texts["".join("tyx"[k] for k in nesting)] = rows
+    texts["shuffled"] = rng.sample(texts["tyx"], len(texts["tyx"]))
+    return {
+        name: grid_file([",".join(map(repr, [*node, *nodes[tuple(node)]])) for node in rows])
+        for name, rows in texts.items()
+    }
+
+
+class TestRowOrder:
+    """Every nesting order loads by strides, other orders row by row, to the same bytes."""
+
+    TEXTS = _nesting_orders()
+
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_same_bytes_as_c_order_and_reference(self, name):
+        text = self.TEXTS[name]
+        with mock.patch.object(offset_field, "_any_rows", wraps=offset_field._any_rows) as rows:
+            got = _load_outcome(load_grid, text)
+        assert rows.called == (name == "shuffled")
+        assert got == _load_outcome(load_grid, self.TEXTS["tyx"])
+        assert got == _load_outcome(reference_load_grid, text)
+        assert all(isinstance(part, bytes) for part in got)  # a grid, not an error
+        assert got[0][:8] == got[1][:8] == np.array(-0.0).tobytes()  # the sign kept
+
+
 def reference_load_observations(source):
     """The observation loader over the line-by-line parse."""
     observations = []
@@ -1052,6 +1149,50 @@ class TestLoadObservations:
         )
         with pytest.raises(ParseError):
             load_observations(text)
+
+
+def scan_nearest_index(axis, x):
+    """The per-axis scan that the bisection replaced, kept as its reference."""
+    return min(range(len(axis)), key=lambda i: abs(axis[i] - x))
+
+
+def scan_nearest_lon_index(axis, lon):
+    x = lon % TWO_PI
+
+    def distance(i):
+        d = abs(axis[i] - x) % TWO_PI
+        return min(d, TWO_PI - d)
+
+    return min(range(len(axis)), key=distance)
+
+
+class TestNearestNode:
+    """Bisection finds the node the scan finds: the lower index on a tie,
+    longitude measured around the circle."""
+
+    def test_matches_the_scan(self):
+        rng = random.Random(89)
+        ties = seam_ties = 0
+        for _ in range(3000):
+            # Nodes on multiples of 1/8 and a last longitude node m/8 short of
+            # TWO_PI, so midpoints, and the seam midpoint, are exact ties.
+            axis = sorted(k / 8.0 for k in rng.sample(range(48), rng.randint(2, 8)))
+            if rng.random() < 0.5:
+                axis.append(TWO_PI - rng.randint(1, 3) / 8.0)
+            gap = TWO_PI - axis[-1] + axis[0]
+            queries = [rng.uniform(0.0, TWO_PI) for _ in range(4)]
+            queries += [*axis, *((a + b) / 2.0 for a, b in zip(axis, axis[1:]))]
+            queries += [(axis[-1] + gap / 2.0) % TWO_PI, 1e-300, math.nextafter(TWO_PI, 0.0)]
+            for x in queries:
+                want = scan_nearest_lon_index(axis, x)
+                assert offset_field._nearest_lon_index(axis, x) == want, (axis, x)
+                seam_ties += want == 0 and x > axis[-1] and x - axis[-1] == TWO_PI - x + axis[0]
+            for x in [*queries, -3.0, 9.0, -1e20, 1e20]:
+                want = scan_nearest_index(axis, x)
+                assert offset_field._nearest_index(axis, x) == want, (axis, x)
+                i = want + 1
+                ties += i < len(axis) and abs(axis[i] - x) == abs(axis[want] - x)
+        assert ties > 1000 and seam_ties > 100
 
 
 class TestGridFromObservations:
