@@ -30,7 +30,7 @@ from .errors import (
 from .figures import FIGURE_IDS, build_figure, render_table
 from .geodesy import geodetic_to_geopotential, geopotential_to_geodetic
 from .identification import Observation, identify_offsets, identify_offsets_batch
-from .offset_field import GridField, load_grid, load_observations
+from .offset_field import GridField, _flat, load_grid, load_observations
 from .static_atmosphere import (
     geopotential_from_hp,
     hp_from_geopotential,
@@ -197,7 +197,7 @@ def cmd_figure(args):
 def cmd_grid_validate(args):
     """Check an offset grid file against the default bounds and print a summary."""
     grid = load_grid(_read_text(args.grid_file))
-    flat_T, flat_p = grid.delta_T.cast("B").cast("d"), grid.delta_p.cast("B").cast("d")
+    flat_T, flat_p = _flat(grid.delta_T), _flat(grid.delta_p)
     dT, dp = (min(flat_T), max(flat_T)), (min(flat_p), max(flat_p))
     validate_offsets(Offsets(dT[0], dp[0]))
     validate_offsets(Offsets(dT[1], dp[1]))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import chain, count, repeat
 from operator import truediv
 from typing import Iterable, Iterator, Sequence
@@ -154,6 +154,11 @@ def _shaped(flat: array, shape: tuple[int, ...]) -> memoryview:
     return memoryview(flat).cast("B").cast("d", shape)
 
 
+def _flat(values: memoryview) -> memoryview:
+    """A 1-D float64 view of a grid's C-order node values, no copy."""
+    return values.cast("B").cast("d")
+
+
 def _node_values(values, shape: tuple[int, int, int], name: str) -> memoryview:
     """``values`` as a float64 memoryview of ``shape`` in C order.
 
@@ -225,7 +230,7 @@ class OffsetGrid3D(_Frozen):
         # Finite sums and minima above the floors clear every node at once; a
         # sum that overflows only costs the scan. Otherwise the first failing
         # node in C order raises through ``validate_offsets`` itself.
-        flat_T, flat_p = dT.cast("B").cast("d"), dp.cast("B").cast("d")
+        flat_T, flat_p = _flat(dT), _flat(dp)
         if not (math.isfinite(sum(flat_T) + sum(flat_p))
                 and min(flat_T) > -T_ISA_TROP and min(flat_p) > -P0):
             for pair in zip(flat_T, flat_p):
@@ -312,8 +317,7 @@ class GridField(_Frozen, OffsetField):
 
     def __init__(self, grid: OffsetGrid3D):
         _set(self, "grid", grid)
-        flat = (grid.delta_T.cast("B").cast("d"), grid.delta_p.cast("B").cast("d"))
-        _set(self, "_flat", flat)
+        _set(self, "_flat", (_flat(grid.delta_T), _flat(grid.delta_p)))
         _set(self, "_cell", (math.nan,) * 10)  # NaN: no hit
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
@@ -573,22 +577,8 @@ def load_observations(source: str) -> list[Observation]:
     return observations
 
 
-def _lowest_nearest(distance, start: int) -> int:
-    """Walk down from ``start`` while the next lower node is no farther.
-
-    ``start`` must be no farther than every node above it, and distances
-    must not fall walking down from the nearest one, so equal distances
-    end at the lowest index: the lower index wins an exact tie.
-    """
-    while start and distance(start - 1) <= distance(start):
-        start -= 1
-    return start
-
-
 def _nearest_index(axis: Sequence[float], x: float) -> int:
-    return _lowest_nearest(
-        lambda i: abs(axis[i] - x), min(bisect_left(axis, x), len(axis) - 1)
-    )
+    return min(range(len(axis)), key=lambda i: abs(axis[i] - x))
 
 
 def _nearest_lon_index(axis: Sequence[float], lon: float) -> int:
@@ -598,13 +588,7 @@ def _nearest_lon_index(axis: Sequence[float], lon: float) -> int:
         d = abs(axis[i] - x) % TWO_PI
         return min(d, TWO_PI - d)
 
-    i = bisect_left(axis, x)
-    if 0 < i < len(axis):
-        return _lowest_nearest(distance, i)
-    # In the seam cell: node 0 wins a tie with the last node across the seam.
-    if distance(0) <= distance(len(axis) - 1):
-        return 0
-    return _lowest_nearest(distance, len(axis) - 1)
+    return min(range(len(axis)), key=distance)
 
 
 def grid_from_observations(

@@ -1151,50 +1151,6 @@ class TestLoadObservations:
             load_observations(text)
 
 
-def scan_nearest_index(axis, x):
-    """The per-axis scan that the bisection replaced, kept as its reference."""
-    return min(range(len(axis)), key=lambda i: abs(axis[i] - x))
-
-
-def scan_nearest_lon_index(axis, lon):
-    x = lon % TWO_PI
-
-    def distance(i):
-        d = abs(axis[i] - x) % TWO_PI
-        return min(d, TWO_PI - d)
-
-    return min(range(len(axis)), key=distance)
-
-
-class TestNearestNode:
-    """Bisection finds the node the scan finds: the lower index on a tie,
-    longitude measured around the circle."""
-
-    def test_matches_the_scan(self):
-        rng = random.Random(89)
-        ties = seam_ties = 0
-        for _ in range(3000):
-            # Nodes on multiples of 1/8 and a last longitude node m/8 short of
-            # TWO_PI, so midpoints, and the seam midpoint, are exact ties.
-            axis = sorted(k / 8.0 for k in rng.sample(range(48), rng.randint(2, 8)))
-            if rng.random() < 0.5:
-                axis.append(TWO_PI - rng.randint(1, 3) / 8.0)
-            gap = TWO_PI - axis[-1] + axis[0]
-            queries = [rng.uniform(0.0, TWO_PI) for _ in range(4)]
-            queries += [*axis, *((a + b) / 2.0 for a, b in zip(axis, axis[1:]))]
-            queries += [(axis[-1] + gap / 2.0) % TWO_PI, 1e-300, math.nextafter(TWO_PI, 0.0)]
-            for x in queries:
-                want = scan_nearest_lon_index(axis, x)
-                assert offset_field._nearest_lon_index(axis, x) == want, (axis, x)
-                seam_ties += want == 0 and x > axis[-1] and x - axis[-1] == TWO_PI - x + axis[0]
-            for x in [*queries, -3.0, 9.0, -1e20, 1e20]:
-                want = scan_nearest_index(axis, x)
-                assert offset_field._nearest_index(axis, x) == want, (axis, x)
-                i = want + 1
-                ties += i < len(axis) and abs(axis[i] - x) == abs(axis[want] - x)
-        assert ties > 1000 and seam_ties > 100
-
-
 class TestGridFromObservations:
     def setup_method(self):
         self.t_axis = (0.0, 3600.0)
