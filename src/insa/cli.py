@@ -112,9 +112,10 @@ def _write_records(records, as_csv: bool) -> None:
     for start in range(0, len(records), _ROWS_PER_WRITE):
         for t, lon, lat, offsets, error in records[start:start + _ROWS_PER_WRITE]:
             lon_deg, lat_deg = math.degrees(lon), math.degrees(lat)
-            if as_csv:  # csv writes a float as its repr
-                write((t, lon_deg, lat_deg, "", "", str(error)) if offsets is None else (
-                    t, lon_deg, lat_deg, offsets.delta_T, offsets.delta_p, ""))
+            if as_csv and offsets is None:
+                write((t, lon_deg, lat_deg, "", "", str(error)))
+            elif as_csv:  # csv's bytes: it writes a float as its repr, which needs no quoting
+                buffer.write("%r,%r,%r,%r,%r,\n" % (t, lon_deg, lat_deg, *offsets))
             else:
                 result = f"error: {error}" if offsets is None else (
                     f"delta_T = {offsets.delta_T:.6g} K, delta_p = {offsets.delta_p:.6g} Pa")

@@ -41,6 +41,7 @@ class Offsets(NamedTuple):
 
 
 _set = object.__setattr__  # how constructors store into a _Frozen
+_new = tuple.__new__  # builds a NamedTuple without its generated Python __new__
 
 
 class _Frozen:

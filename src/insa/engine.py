@@ -19,6 +19,7 @@ from .constants import (
     OffsetBounds,
     AtmosphericState,
     _Frozen,
+    _new,
     _set,
     validate_offsets,
 )
@@ -103,4 +104,4 @@ class QuasiStaticModel(_Frozen):
             state = self.query(t, position)
         dp_dH, dT_dH, drho_dH = gradients_of_state(state)
         H_dot = _geopotential_slope(position.h) * h_dot
-        return PropertyRates(dp_dH * H_dot, dT_dH * H_dot, drho_dH * H_dot)
+        return _new(PropertyRates, (dp_dH * H_dot, dT_dH * H_dot, drho_dH * H_dot))

@@ -21,6 +21,7 @@ from .constants import (
     P0,
     T0,
     Offsets,
+    _new,
     validate_offsets,
 )
 from .errors import AtmosphereError, NonPhysical, NotInTroposphere, OutOfValidityRange
@@ -111,7 +112,7 @@ def identify_offsets(obs: Observation) -> Offsets:
     delta_p = _onto_bound(
         p_msl - P0, b.delta_p_min, b.delta_p_max, TISA_MSL_TOL * GBR * p_msl / T_isa_msl
     )
-    return validate_offsets(Offsets(delta_T, delta_p))
+    return validate_offsets(_new(Offsets, (delta_T, delta_p)))
 
 
 def _onto_bound(x: float, low: float, high: float, tol: float) -> float:
@@ -137,7 +138,8 @@ def identify_offsets_batch(observations: Iterable[Observation]) -> list[Identifi
     results: list[IdentificationRecord] = []
     for obs in observations:
         try:
-            results.append(IdentificationRecord(obs.t, obs.lon, obs.lat, identify_offsets(obs)))
+            record = (obs.t, obs.lon, obs.lat, identify_offsets(obs), None)
         except AtmosphereError as err:
-            results.append(IdentificationRecord(obs.t, obs.lon, obs.lat, None, err))
+            record = (obs.t, obs.lon, obs.lat, None, err)
+        results.append(_new(IdentificationRecord, record))
     return results

@@ -29,7 +29,7 @@ from itertools import chain, count, repeat
 from operator import truediv
 from typing import Iterable, Iterator, Sequence
 
-from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, _Frozen, _set, validate_offsets
+from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, _Frozen, _new, _set, validate_offsets
 from .errors import (
     AtmosphereError,
     EmptyNode,
@@ -101,7 +101,8 @@ class Waypoint(_Frozen):
 
 
 def _lerp_offsets(a: Offsets, b: Offsets, s: float) -> Offsets:
-    return Offsets(a.delta_T + s * (b.delta_T - a.delta_T), a.delta_p + s * (b.delta_p - a.delta_p))
+    return _new(Offsets, (a.delta_T + s * (b.delta_T - a.delta_T),
+                          a.delta_p + s * (b.delta_p - a.delta_p)))
 
 
 class WaypointField(_Frozen, OffsetField):
@@ -343,7 +344,7 @@ class GridField(_Frozen, OffsetField):
                         ts[i1] - ts[i0], dx, ys[k1] - ys[k0], corners)
                 _set(self, "_cell", cell)
         dT, dp = self._flat
-        return Offsets(_trilerp(dT, corners, wi, wj, wk), _trilerp(dp, corners, wi, wj, wk))
+        return _new(Offsets, (_trilerp(dT, corners, wi, wj, wk), _trilerp(dp, corners, wi, wj, wk)))
 
 
 def _line_error(lines: list[str], first_line_no: int, n_fields: int) -> ParseError:

@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 
 from .constants import (
     BETA_T_ABOVE, BETA_T_BELOW, G0, GBR, HP_MAX, HP_MIN, HP_TROP, P0, R_AIR, T0, T_ISA_TROP,
-    AtmosphericState, Offsets, check_pressure_altitude, validate_offsets,
+    AtmosphericState, Offsets, _new, check_pressure_altitude, validate_offsets,
 )
 from .errors import NoConvergence, NonPhysical, OutOfValidityRange
 from .solvers import newton
@@ -92,11 +92,11 @@ def _column_anchors(offsets: Offsets) -> AtmosphereAnchors:
     T_isa_msl = T0 + BETA_T_BELOW * Hp_msl
     H_trop = _geopotential_below(HP_TROP, Hp_msl, T_isa_msl, delta_T)
     T_trop = T_ISA_TROP + delta_T
-    return AtmosphereAnchors(
+    return _new(AtmosphereAnchors, (
         offsets, Hp_msl, T_isa_msl, p_msl, H_trop, T_trop,
         _geopotential_below(HP_MIN, Hp_msl, T_isa_msl, delta_T),
         H_trop + T_trop / T_ISA_TROP * (HP_MAX - HP_TROP),
-    )
+    ))
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -174,7 +174,7 @@ def _state(Hp: float, H: float, delta_T: float) -> AtmosphericState:
     else:
         T_isa, p = T_ISA_TROP, _pressure_above(Hp)
     T = T_isa + delta_T
-    return AtmosphericState(Hp, H, p, T, T_isa, p / (R_AIR * T))
+    return _new(AtmosphericState, (Hp, H, p, T, T_isa, p / (R_AIR * T)))
 
 
 def hp_from_geopotential(H: float, column: ColumnSpec) -> float:
@@ -254,7 +254,7 @@ def vertical_gradients(H: float, column: ColumnSpec) -> VerticalGradients:
     density gradient differentiates the perfect-gas law.  Exactly at the
     tropopause the troposphere-side values are returned.
     """
-    return VerticalGradients(*gradients_of_state(state_at_geopotential(H, column)))
+    return _new(VerticalGradients, gradients_of_state(state_at_geopotential(H, column)))
 
 
 def gradients_of_state(st: AtmosphericState) -> tuple[float, float, float]:

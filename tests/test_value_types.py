@@ -5,6 +5,8 @@
 NamedTuples: they print as they did as frozen dataclasses, and compare and
 hash as the plain tuple of their fields.  ``Observation`` still checks its
 fields, on ``_make`` and ``_replace`` too (see ``test_identification.py``).
+The package builds its per-point results with ``tuple.__new__``, so they must
+be the very values the constructors build.
 """
 
 import pickle
@@ -14,12 +16,25 @@ import pytest
 from insa import (
     AtmosphereAnchors,
     AtmosphericState,
+    ConstantField,
+    GeodeticPosition,
+    GridField,
     IdentificationRecord,
+    NotInTroposphere,
     Observation,
+    OffsetGrid3D,
     Offsets,
     PropertyRates,
+    QuasiStaticModel,
     VerticalGradients,
+    Waypoint,
+    WaypointField,
     anchors,
+    identify_offsets,
+    identify_offsets_batch,
+    state_at_geopotential,
+    state_at_pressure_altitude,
+    vertical_gradients,
 )
 
 OFFSETS = Offsets(1.5, -250.0)
@@ -155,3 +170,73 @@ def test_anchors_cache_keyed_by_type():
     anchors(Offsets(15.0, 2000.0))
     with pytest.raises(AttributeError):
         anchors((15.0, 2000.0))
+
+
+BUILT_BY_TUPLE_NEW = (
+    Offsets, AtmosphericState, AtmosphereAnchors, PropertyRates, VerticalGradients,
+    IdentificationRecord,
+)
+
+
+# Inputs of the per-point paths, built here through the constructors.
+GRID = OffsetGrid3D((0.0, 3600.0), (0.25, 0.5), (0.5, 0.75),
+                    [[[5.0, 6.0], [7.0, 8.0]]] * 2, [[[250.0, 300.0], [350.0, 400.0]]] * 2)
+WAYPOINTS = WaypointField([Waypoint(0.0, 0.3, 0.6, Offsets(-4.0, 900.0)),
+                           Waypoint(3600.0, 0.4, 0.7, Offsets(6.0, -300.0))])
+CONSTANT = ConstantField(Offsets(15.0, 2000.0))
+HERE, THERE = GeodeticPosition(0.375, 0.625, 3000.0), GeodeticPosition(0.3, 0.7, 9500.0)
+TROPOSPHERIC = Observation(900.0, 0.5, 0.7, 350.0, 98000.0, 290.0)
+STRATOSPHERIC = Observation(950.0, 0.5, 0.7, 350.0, 15000.0, 220.0)
+COLUMN = Offsets(4.5, -750.0)
+
+
+def _hot_path_results():
+    """(label, value) for every per-point path that returns one of those types."""
+    grid, waypoints, column = GridField(GRID), WAYPOINTS, COLUMN  # a fresh cell memo
+    anchors.cache_clear()  # so that anchors() builds, not finds
+    yield "anchors", anchors(column)
+    yield "state_at_geopotential", state_at_geopotential(5000.0, column)
+    yield "state_at_pressure_altitude", state_at_pressure_altitude(12500.0, column)
+    yield "vertical_gradients", vertical_gradients(800.0, column)
+    yield "grid miss", grid.evaluate(1800.0, 0.375, 0.625)
+    yield "grid hit", grid.evaluate(1900.0, 0.4, 0.6)
+    yield "waypoints", waypoints.evaluate(1200.0, 0.35, 0.65)
+    for name, field in (("constant", CONSTANT), ("waypoint", waypoints), ("grid", grid)):
+        model = QuasiStaticModel(field)
+        # The first call solves its own point; the second reuses the query's state.
+        yield f"{name} property_rates", model.property_rates(600.0, THERE, -7.5)
+        yield f"{name} query", model.query(1800.0, HERE)
+        yield f"{name} property_rates at the query", model.property_rates(1800.0, HERE, 12.0)
+        yield f"{name} anchors", model._memo[2]
+    yield "identify_offsets", identify_offsets(TROPOSPHERIC)
+    ok, error = identify_offsets_batch([TROPOSPHERIC, STRATOSPHERIC])
+    assert ok.error is None and isinstance(error.error, NotInTroposphere)
+    yield "ok record", ok
+    yield "error record", error
+
+
+def _check_constructor_twin(label, value):
+    cls = type(value)
+    assert cls in BUILT_BY_TUPLE_NEW, label
+    assert len(value) == len(cls._fields), label  # a field added without its build site
+    twin = cls(*value)
+    assert value == twin and repr(value) == repr(twin) and hash(value) == hash(twin), label
+    assert pickle.dumps(value) == pickle.dumps(twin), label
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and repr(copy) == repr(value), label
+    for field in value:
+        if type(field) in BUILT_BY_TUPLE_NEW:
+            _check_constructor_twin(f"{label}: {type(field).__name__}", field)
+
+
+def test_hot_paths_never_enter_a_generated_new(monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__}.__new__ called on a per-point path")
+
+    for cls in BUILT_BY_TUPLE_NEW:
+        monkeypatch.setattr(cls, "__new__", refuse)
+    results = list(_hot_path_results())
+    monkeypatch.undo()  # the twins below, and unpickling, go through __new__
+    assert {type(value) for _, value in results} == set(BUILT_BY_TUPLE_NEW)
+    for label, value in results:
+        _check_constructor_twin(label, value)
