@@ -192,18 +192,18 @@ COLUMN = Offsets(4.5, -750.0)
 
 def _hot_path_results():
     """(label, value) for every per-point path that returns one of those types."""
-    grid, waypoints, column = GridField(GRID), WAYPOINTS, COLUMN  # a fresh cell memo
+    grid = GridField(GRID)  # a fresh cell memo
     anchors.cache_clear()  # so that anchors() builds, not finds
-    yield "anchors", anchors(column)
-    yield "state_at_geopotential", state_at_geopotential(5000.0, column)
-    yield "state_at_pressure_altitude", state_at_pressure_altitude(12500.0, column)
-    yield "vertical_gradients", vertical_gradients(800.0, column)
+    yield "anchors", anchors(COLUMN)
+    yield "state_at_geopotential", state_at_geopotential(5000.0, COLUMN)
+    yield "state_at_pressure_altitude", state_at_pressure_altitude(12500.0, COLUMN)
+    yield "vertical_gradients", vertical_gradients(800.0, COLUMN)
     yield "grid miss", grid.evaluate(1800.0, 0.375, 0.625)
     yield "grid hit", grid.evaluate(1900.0, 0.4, 0.6)
-    yield "waypoints", waypoints.evaluate(1200.0, 0.35, 0.65)
-    for name, field in (("constant", CONSTANT), ("waypoint", waypoints), ("grid", grid)):
+    yield "waypoints", WAYPOINTS.evaluate(1200.0, 0.35, 0.65)
+    for name, field in (("constant", CONSTANT), ("waypoint", WAYPOINTS), ("grid", grid)):
         model = QuasiStaticModel(field)
-        # The first call solves its own point; the second reuses the query's state.
+        # property_rates solves its own point first, then reuses the query's state.
         yield f"{name} property_rates", model.property_rates(600.0, THERE, -7.5)
         yield f"{name} query", model.query(1800.0, HERE)
         yield f"{name} property_rates at the query", model.property_rates(1800.0, HERE, 12.0)
