@@ -198,8 +198,10 @@ def _show(values: memoryview) -> str:
 class OffsetGrid3D(_Frozen):
     """Dense rectilinear grid of offset pairs over (t, lon, lat).
 
-    Axes are strictly increasing; longitude nodes live in [0, 2*pi) and
-    the axis is treated as periodic across the seam.  ``delta_T`` and
+    Axes hold two or more finite, strictly increasing values; longitude
+    nodes live in [0, 2*pi) and the axis is treated as periodic across
+    the seam.  An axis that breaks these raises ``NonMonotonicAxis``, and
+    a latitude node outside [-pi/2, pi/2] ``OutOfValidityRange``.  ``delta_T`` and
     ``delta_p`` are float64 ``memoryview``s of shape (n_t, n_lon, n_lat)
     in C order, the storage ``GridField`` interpolates from: index them as
     ``grid.delta_T[i, j, k]`` and use ``np.asarray(grid.delta_T)`` for
@@ -250,7 +252,7 @@ class OffsetGrid3D(_Frozen):
 
 
 def _bracket(axis: Sequence[float], x: float, name: str) -> tuple[int, int, float]:
-    """Bracketing indices and weight on a non-periodic axis.
+    """Bracketing indices and weight on an axis: time, latitude or the longitude ring.
 
     A node starts its segment, with weight 0.  Only the last node, which has no
     segment after it, is returned alone: a weight-1 blend ``a + (b - a)`` need not be ``b``.
@@ -260,18 +262,6 @@ def _bracket(axis: Sequence[float], x: float, name: str) -> tuple[int, int, floa
     if x == axis[-1]:
         return len(axis) - 1, len(axis) - 1, 0.0
     i = bisect_right(axis, x) - 1
-    return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
-
-
-def _bracket_periodic(axis: Sequence[float], lon: float) -> tuple[int, int, float]:
-    """Bracketing indices and weight on the periodic longitude axis."""
-    x = normalize_longitude(lon)
-    i = bisect_right(axis, x) - 1
-    if i < 0 or i == len(axis) - 1:
-        # Seam segment from the last node around to the first one.
-        gap = axis[0] + TWO_PI - axis[-1]
-        position = x - axis[-1] if i == len(axis) - 1 else x + TWO_PI - axis[-1]
-        return len(axis) - 1, 0, position / gap
     return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
 
 
@@ -301,10 +291,12 @@ class GridField(_Frozen, OffsetField):
     """Trilinear interpolation over an offset grid.
 
     Time and latitude queries must stay inside the axis ranges, so a
-    non-finite one is ``OutOfDomain``; longitude wraps across the 2*pi
-    seam.  Values are read through flat 1-D casts of the grid's own
-    memoryviews, so a write to the grid is seen at once and nothing is
-    copied.
+    non-finite one is ``OutOfDomain``.  Longitude runs on a ring, the axis
+    and then its first node one turn on (ring index ``n_lon`` is node 0):
+    the seam cell is the ring's last segment, and a query west of the
+    first node moves one turn on into it.  Values are read through flat
+    1-D casts of the grid's own memoryviews, so a write to the grid is
+    seen at once and nothing is copied.
 
     ``evaluate`` remembers the last cell it was strictly inside (bounds,
     denominators, corner indices; no values) and skips the bracketing for
@@ -313,12 +305,13 @@ class GridField(_Frozen, OffsetField):
     """
 
     _fields = ("grid",)
-    __slots__ = _fields + ("_flat", "_cell")
+    __slots__ = _fields + ("_flat", "_ring", "_cell")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, grid: OffsetGrid3D):
         _set(self, "grid", grid)
         _set(self, "_flat", (_flat(grid.delta_T), _flat(grid.delta_p)))
+        _set(self, "_ring", (*grid.lon_axis, grid.lon_axis[0] + TWO_PI))
         _set(self, "_cell", (math.nan,) * 10)  # NaN: no hit
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
@@ -327,21 +320,24 @@ class GridField(_Frozen, OffsetField):
         if t0 < t < t1 and x0 < lon < x1 and y0 < lat < y1:
             wi, wj, wk = (t - t0) / dt, (lon - x0) / dx, (lat - y0) / dy
         else:
-            ts, xs, ys = self.grid.t_axis, self.grid.lon_axis, self.grid.lat_axis
+            ts, xs, ys = self.grid.t_axis, self._ring, self.grid.lat_axis
             i0, i1, wi = _bracket(ts, t, "time")
-            j0, j1, wj = _bracket_periodic(xs, lon)
+            x = normalize_longitude(lon)
+            if x < xs[0]:  # west of the first node: one turn on, into the seam cell
+                x += TWO_PI
+            j0, j1, wj = _bracket(xs, x, "longitude")
             k0, k1, wk = _bracket(ys, lat, "latitude")
-            n_lat = len(ys)
-            row = len(xs) * n_lat
-            r00, r10 = i0 * row + j0 * n_lat, i1 * row + j0 * n_lat
-            r01, r11 = i0 * row + j1 * n_lat, i1 * row + j1 * n_lat
+            n_lon, n_lat = len(xs) - 1, len(ys)
+            row = n_lon * n_lat
+            c0, c1 = j0 % n_lon * n_lat, j1 % n_lon * n_lat
+            r00, r10 = i0 * row + c0, i1 * row + c0
+            r01, r11 = i0 * row + c1, i1 * row + c1
             corners = (r00 + k0, r10 + k0, r01 + k0, r11 + k0,
                        r00 + k1, r10 + k1, r01 + k1, r11 + k1)
-            if i0 != i1 and k0 != k1:  # not a last node alone; j0 != j1 always holds
-                x1 = xs[j1] if j1 else TWO_PI  # j1 == 0: the seam cell east of xs[-1]
-                dx = (xs[j1] if j1 else xs[0] + TWO_PI) - xs[j0]  # as the brackets divide
-                cell = (ts[i0], ts[i1], xs[j0], x1, ys[k0], ys[k1],
-                        ts[i1] - ts[i0], dx, ys[k1] - ys[k0], corners)
+            if i0 != i1 and j0 != j1 and k0 != k1:  # not a last node alone
+                # The hit test reads lon unwrapped, so the seam cell stops at 2*pi.
+                cell = (ts[i0], ts[i1], xs[j0], min(xs[j1], TWO_PI), ys[k0], ys[k1],
+                        ts[i1] - ts[i0], xs[j1] - xs[j0], ys[k1] - ys[k0], corners)
                 _set(self, "_cell", cell)
         dT, dp = self._flat
         return _new(Offsets, (_trilerp(dT, corners, wi, wj, wk), _trilerp(dp, corners, wi, wj, wk)))
@@ -607,7 +603,9 @@ def grid_from_observations(
 
     Raises:
         NonMonotonicAxis: an empty, short, unordered or non-finite axis,
-            found before any observation is identified.
+            or a longitude axis outside [0, 2*pi).
+        OutOfValidityRange: a latitude axis outside [-pi/2, pi/2].
+            Both axis errors come before any observation is identified.
         EmptyNode: some node received no observation.
         Identification errors propagate for the offending record.
     """
