@@ -25,7 +25,7 @@ from .constants import (
 )
 from .errors import OutOfValidityRange
 from .geodesy import (GeodeticPosition, _geopotential_slope, _to_geopotential,
-                      check_latitude, normalize_longitude)
+                      check_latitude, check_time, normalize_longitude)
 from .offset_field import OffsetField
 from .static_atmosphere import _column_anchors, gradients_of_state, state_at_geopotential
 
@@ -66,12 +66,7 @@ class QuasiStaticModel(_Frozen):
     def offsets_at(self, t: float, lon: float, lat: float) -> Offsets:
         """Field evaluation at a finite time, validated against the model bounds."""
         lon, lat = normalize_longitude(lon), check_latitude(lat)  # as GeodeticPosition does
-        return validate_offsets(self._evaluate(t, lon, lat), self.bounds)
-
-    def _evaluate(self, t: float, lon: float, lat: float):
-        if not math.isfinite(t):
-            raise OutOfValidityRange(f"time must be finite, got {t!r}")
-        return self.field.evaluate(t, lon, lat)
+        return validate_offsets(self.field.evaluate(check_time(t), lon, lat), self.bounds)
 
     def query(self, t: float, position: GeodeticPosition) -> AtmosphericState:
         """Atmospheric state at one time and geodetic position.
@@ -79,7 +74,7 @@ class QuasiStaticModel(_Frozen):
         Equivalent to the manual pipeline: evaluate the field, convert
         h to H, query the static column.
         """
-        offsets = self._evaluate(t, position.lon, position.lat)
+        offsets = self.field.evaluate(check_time(t), position.lon, position.lat)
         _, key, column, _ = self._memo
         if type(offsets) is not Offsets or key != offsets:
             column = _column_anchors(validate_offsets(offsets, self.bounds))

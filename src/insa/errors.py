@@ -22,7 +22,7 @@ class NotInTroposphere(AtmosphereError):
 
 
 class OutOfDomain(AtmosphereError):
-    """A query point lies outside the coverage of a gridded field."""
+    """A query point lies outside a field's coverage: a grid's axes or a waypoint field's times."""
 
 
 class ParseError(AtmosphereError):

@@ -23,6 +23,12 @@ def normalize_longitude(lon: float) -> float:
     return lon if lon < TWO_PI else 0.0  # a tiny negative lon rounds up to 2*pi
 
 
+def check_time(t: float) -> float:
+    if not math.isfinite(t):
+        raise OutOfValidityRange(f"time must be finite, got {t!r}")
+    return t
+
+
 def check_latitude(lat: float) -> float:
     if not -math.pi / 2.0 <= lat <= math.pi / 2.0:
         raise OutOfValidityRange(f"latitude {lat!r} rad outside [-pi/2, pi/2]")

@@ -25,7 +25,7 @@ from .constants import (
     validate_offsets,
 )
 from .errors import AtmosphereError, NonPhysical, NotInTroposphere, OutOfValidityRange
-from .geodesy import _to_geopotential, check_position
+from .geodesy import _to_geopotential, check_position, check_time
 from .static_atmosphere import TISA_MSL_TOL, _hp_below, _pressure_below, solve_tisa_msl
 
 # Observations this close to the tropopause are rejected rather than
@@ -50,8 +50,7 @@ class Observation(_ObservationFields):
     __slots__ = ()
 
     def __new__(cls, t: float, lon: float, lat: float, h: float, p: float, T: float):
-        if not math.isfinite(t):
-            raise OutOfValidityRange(f"observation time must be finite, got {t!r}")
+        check_time(t)
         lon = check_position(lon, lat, h)
         if not (math.isfinite(p) and p > 0.0):
             raise NonPhysical(f"measured pressure must be positive, got {p!r}")

@@ -36,10 +36,9 @@ from .errors import (
     IncompleteGrid,
     NonMonotonicAxis,
     OutOfDomain,
-    OutOfValidityRange,
     ParseError,
 )
-from .geodesy import TWO_PI, check_latitude, normalize_longitude
+from .geodesy import TWO_PI, check_latitude, check_time, normalize_longitude
 from .identification import Observation, identify_offsets
 
 GRID_HEADER = "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"
@@ -63,7 +62,8 @@ _BLOCK_CHARS = 1 << 15
 class OffsetField:
     """Base contract: a deterministic map (t, lon, lat) -> Offsets.
 
-    Built-in fields check physics only; bounds are the consumer's.
+    ``QuasiStaticModel``, not the field, checks what it passes: a finite time, a longitude in
+    [0, 2*pi), a latitude in [-pi/2, pi/2].  Built-in fields check physics; bounds are the user's.
     """
 
     __slots__ = ()
@@ -91,22 +91,18 @@ class Waypoint(_Frozen):
     __slots__ = _fields = ("t", "lon", "lat", "offsets")
 
     def __init__(self, t: float, lon: float, lat: float, offsets: Offsets):
-        _set(self, "t", t)  # [s]
         _set(self, "lon", normalize_longitude(lon))  # [rad]
         _set(self, "lat", check_latitude(lat))  # [rad]
+        _set(self, "t", check_time(t))  # [s]
         _set(self, "offsets", offsets)
-        if not math.isfinite(t):
-            raise OutOfValidityRange(f"waypoint time must be finite, got {t!r}")
         validate_offsets(offsets, PHYSICAL_ONLY)
 
 
-def _lerp_offsets(a: Offsets, b: Offsets, s: float) -> Offsets:
-    return _new(Offsets, (a.delta_T + s * (b.delta_T - a.delta_T),
-                          a.delta_p + s * (b.delta_p - a.delta_p)))
-
-
 class WaypointField(_Frozen, OffsetField):
-    """Piecewise-linear offsets over an ordered list of waypoints."""
+    """Piecewise-linear offsets over ordered waypoints, constant outside them.
+
+    Time is clamped into the waypoint times, then bracketed like a grid axis (NaN: ``OutOfDomain``).
+    """
 
     _fields = ("waypoints",)
     __slots__ = _fields + ("_times",)
@@ -122,15 +118,11 @@ class WaypointField(_Frozen, OffsetField):
         _set(self, "_times", times)
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
-        points = self.waypoints
-        if t <= points[0].t:
-            return points[0].offsets
-        if t >= points[-1].t:
-            return points[-1].offsets
-        i = bisect_right(self._times, t, hi=len(points) - 1) - 1
-        left, right = points[i], points[i + 1]
-        s = (t - left.t) / (right.t - left.t)
-        return _lerp_offsets(left.offsets, right.offsets, s)
+        times = self._times
+        i, j, s = _bracket(times, min(max(t, times[0]), times[-1]), "time")  # NaN stays NaN
+        a, b = self.waypoints[i].offsets, self.waypoints[j].offsets
+        return _new(Offsets, (a.delta_T + s * (b.delta_T - a.delta_T),
+                              a.delta_p + s * (b.delta_p - a.delta_p)))
 
 
 def _checked_axes(*axes: Iterable[float]) -> tuple[tuple[float, ...], ...]:

@@ -607,13 +607,33 @@ class TestOnePolicyAcrossFields:
         with pytest.raises(OutOfValidityRange, match=message):
             model.query(100.0, MSL)
 
+    # What each field's own evaluate returns or raises for a non-finite time.
+    DIRECT = {
+        "constant": {"nan": Offsets(10.0, 0.0), "inf": Offsets(10.0, 0.0),
+                     "-inf": Offsets(10.0, 0.0)},
+        "waypoint": {"nan": OutOfDomain, "inf": Offsets(10.0, 0.0), "-inf": Offsets(10.0, 0.0)},
+        "grid": {"nan": OutOfDomain, "inf": OutOfDomain, "-inf": OutOfDomain},
+    }
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_out_of_validity(self, kind, t):
-        model = QuasiStaticModel(field_holding(kind, Offsets(10.0, 0.0)), self.WIDE)
-        with pytest.raises(OutOfValidityRange, match="^time must be finite"):
-            model.query(t, MSL)
-        with pytest.raises(OutOfValidityRange, match="^time must be finite"):
-            model.property_rates(t, MSL, 1.0)
+        field = field_holding(kind, Offsets(10.0, 0.0))
+        model = QuasiStaticModel(field, self.WIDE)
+        paths = {
+            "query": (lambda: model.query(t, MSL), OutOfValidityRange),
+            "property_rates": (lambda: model.property_rates(t, MSL, 1.0), OutOfValidityRange),
+            "offsets_at": (lambda: model.offsets_at(t, 0.5, 0.0), OutOfValidityRange),
+            "evaluate": (lambda: field.evaluate(t, 0.5, 0.0), self.DIRECT[kind][repr(t)]),
+        }
+        for name, (call, want) in paths.items():
+            if isinstance(want, type):
+                match = "^time must be finite, got " if want is OutOfValidityRange else "^time "
+                with pytest.raises(want, match=match):
+                    call()
+            else:
+                got = call()
+                assert got == want, name
+                assert all(map(math.isfinite, got)), name  # no path leaks a non-finite pair
 
     @pytest.mark.parametrize(
         "lon, lat", [(math.nan, 0.0), (math.inf, 0.0), (0.5, 2.0), (0.5, math.nan)]

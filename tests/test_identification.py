@@ -39,7 +39,7 @@ class TestObservation:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_time_must_be_finite(self, t):
-        with pytest.raises(OutOfValidityRange, match="observation time must be finite"):
+        with pytest.raises(OutOfValidityRange, match="^time must be finite"):
             Observation(t=t, lon=0.0, lat=0.0, h=0.0, p=90000.0, T=280.0)
 
     @pytest.mark.parametrize("h", [-0.6 * RE, math.nan], ids=["-0.6RE", "nan"])

@@ -133,18 +133,28 @@ class TestWaypointField:
         assert got.delta_p == pytest.approx(500.0, abs=1e-12)
 
     def test_clamping(self):
-        assert self.field.evaluate(-50.0, 0.0, 0.0) == self.points[0].offsets
-        assert self.field.evaluate(1e6, 0.0, 0.0) == self.points[-1].offsets
+        for t in (-math.inf, -1e300, -50.0, -5e-324):
+            assert self.field.evaluate(t, 0.0, 0.0) == self.points[0].offsets
+        for t in (math.nextafter(400.0, math.inf), 1e6, math.inf):
+            assert self.field.evaluate(t, 0.0, 0.0) == self.points[-1].offsets
 
-    def test_nan_time_gives_nan_offsets(self):
-        # Segment search stays in range; the engine then rejects the pair.
+    def test_nan_time_out_of_domain(self):
+        # Bracketed like a grid's time axis: a NaN survives the clamp and fails the range test.
         for field in (self.field, WaypointField(self.points[:2])):
-            got = field.evaluate(math.nan, 0.0, 0.0)
-            assert math.isnan(got.delta_T) and math.isnan(got.delta_p)
+            with pytest.raises(OutOfDomain, match=r"^time nan outside \[0\.0, "):
+                field.evaluate(math.nan, 0.0, 0.0)
+
+    def test_signed_zero_end_pair_compares_equal(self):
+        # An end pair comes back through the blend, so -0.0 may return as 0.0.
+        points = (wp(0.0, Offsets(-0.0, -0.0)), wp(100.0, Offsets(5.0, 10.0)),
+                  wp(200.0, Offsets(-0.0, 0.0)))
+        field = WaypointField(points)
+        for t, end in ((-math.inf, 0), (0.0, 0), (200.0, -1), (math.inf, -1)):
+            assert field.evaluate(t, 0.0, 0.0) == points[end].offsets
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_waypoint_time_rejected(self, t):
-        with pytest.raises(OutOfValidityRange, match="waypoint time must be finite"):
+        with pytest.raises(OutOfValidityRange, match="^time must be finite"):
             wp(t, Offsets(0.0, 0.0))
 
     def test_construction_requirements(self):
@@ -1192,7 +1202,7 @@ class TestGridFromObservations:
             Observation(t=t, lon=lon, lat=lat, h=0.0, p=101325.0, T=288.15)
             for t, lon, lat in [*self.corners(), (bad_t, self.lon_axis[0], self.lat_axis[0])]
         )
-        with pytest.raises(OutOfValidityRange, match="observation time must be finite"):
+        with pytest.raises(OutOfValidityRange, match="^time must be finite"):
             grid_from_observations(obs, self.t_axis, self.lon_axis, self.lat_axis)
 
     def test_duplicates_averaged(self):
