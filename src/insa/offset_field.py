@@ -63,7 +63,7 @@ class OffsetField:
     """Base contract: a deterministic map (t, lon, lat) -> Offsets.
 
     ``QuasiStaticModel``, not the field, checks what it passes: a finite time, a longitude in
-    [0, 2*pi), a latitude in [-pi/2, pi/2].  Built-in fields check physics; bounds are the user's.
+    [0, 2*pi), a latitude in [-pi/2, pi/2].  Built-in fields check physics, consumers the bounds.
     """
 
     __slots__ = ()
