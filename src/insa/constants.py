@@ -110,32 +110,43 @@ def validate_offsets(offsets: Offsets, bounds: OffsetBounds | None = None) -> Of
             mean sea level, or delta_T <= -T_ISA_TROP, i.e. zero or
             negative temperature at the tropopause; whatever the bounds.
         OutOfValidityRange: a non-finite component or one outside bounds.
+        TypeError: not an ``Offsets``: no ``delta_T`` and ``delta_p``.
     """
+    try:
+        delta_T, delta_p = offsets.delta_T, offsets.delta_p
+    except AttributeError:
+        raise TypeError(f"offsets must be an Offsets, got {offsets!r}") from None
     if bounds is None:
         bounds = DEFAULT_OFFSET_BOUNDS
-    if not (math.isfinite(offsets.delta_T) and math.isfinite(offsets.delta_p)):
+    if not (math.isfinite(delta_T) and math.isfinite(delta_p)):
         raise OutOfValidityRange(f"offsets must be finite, got {offsets}")
-    if offsets.delta_p <= -P0:
+    if delta_p <= -P0:
         raise NonPhysical(
-            f"delta_p={offsets.delta_p} Pa implies a mean sea level pressure"
-            f" of {P0 + offsets.delta_p} Pa; it must stay above zero"
+            f"delta_p={delta_p} Pa implies a mean sea level pressure"
+            f" of {P0 + delta_p} Pa; it must stay above zero"
         )
-    if offsets.delta_T <= -T_ISA_TROP:
+    if delta_T <= -T_ISA_TROP:
         raise NonPhysical(
-            f"delta_T={offsets.delta_T} K implies a tropopause temperature"
-            f" of {T_ISA_TROP + offsets.delta_T} K; it must stay above zero"
+            f"delta_T={delta_T} K implies a tropopause temperature"
+            f" of {T_ISA_TROP + delta_T} K; it must stay above zero"
         )
-    if not bounds.delta_T_min <= offsets.delta_T <= bounds.delta_T_max:
+    if not bounds.delta_T_min <= delta_T <= bounds.delta_T_max:
         raise OutOfValidityRange(
-            f"delta_T={offsets.delta_T} K outside"
+            f"delta_T={delta_T} K outside"
             f" [{bounds.delta_T_min}, {bounds.delta_T_max}] K"
         )
-    if not bounds.delta_p_min <= offsets.delta_p <= bounds.delta_p_max:
+    if not bounds.delta_p_min <= delta_p <= bounds.delta_p_max:
         raise OutOfValidityRange(
-            f"delta_p={offsets.delta_p} Pa outside"
+            f"delta_p={delta_p} Pa outside"
             f" [{bounds.delta_p_min}, {bounds.delta_p_max}] Pa"
         )
     return offsets
+
+
+def _onto_edge(x: float, low: float, high: float, tol: float) -> float:
+    """The nearer edge of [low, high] if ``x`` lies past it by at most ``tol``, else ``x``."""
+    edge = low if x < low else high if x > high else x
+    return edge if abs(edge - x) <= tol else x
 
 
 class AtmosphericState(NamedTuple):

@@ -34,7 +34,7 @@ class IncompleteGrid(AtmosphereError):
 
 
 class NonMonotonicAxis(AtmosphereError):
-    """A grid axis is not strictly increasing."""
+    """A grid axis or a waypoint field's times: fewer than two, not finite, or not increasing."""
 
 
 class EmptyNode(AtmosphereError):

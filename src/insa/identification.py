@@ -22,6 +22,7 @@ from .constants import (
     T0,
     Offsets,
     _new,
+    _onto_edge,
     validate_offsets,
 )
 from .errors import AtmosphereError, NonPhysical, NotInTroposphere, OutOfValidityRange
@@ -107,16 +108,11 @@ def identify_offsets(obs: Observation) -> Offsets:
     # A component past a closed bound by no more than the walk's tolerance
     # (carried through the pressure law for delta_p) lies on that bound.
     b = DEFAULT_OFFSET_BOUNDS
-    delta_T = _onto_bound(delta_T, b.delta_T_min, b.delta_T_max, TISA_MSL_TOL)
-    delta_p = _onto_bound(
+    delta_T = _onto_edge(delta_T, b.delta_T_min, b.delta_T_max, TISA_MSL_TOL)
+    delta_p = _onto_edge(
         p_msl - P0, b.delta_p_min, b.delta_p_max, TISA_MSL_TOL * GBR * p_msl / T_isa_msl
     )
     return validate_offsets(_new(Offsets, (delta_T, delta_p)))
-
-
-def _onto_bound(x: float, low: float, high: float, tol: float) -> float:
-    inside = low if x < low else high if x > high else x
-    return inside if abs(inside - x) <= tol else x
 
 
 class IdentificationRecord(NamedTuple):

@@ -22,7 +22,6 @@ degrees [-90, 90].  Observation files share the conventions with header
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from bisect import bisect_right
 from itertools import chain, count, repeat
@@ -44,7 +43,6 @@ from .identification import Observation, identify_offsets
 GRID_HEADER = "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"
 OBSERVATION_HEADER = "t_s,lon_deg,lat_deg,h_m,p_pa,t_k"
 
-_NUMBER = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 # Every character for which str.isspace() holds, mapped to a space: float()
 # refuses \x1c-\x1f around a number, which str.strip() removes.
 _WHITESPACE = (
@@ -99,9 +97,9 @@ class Waypoint(_Frozen):
 
 
 class WaypointField(_Frozen, OffsetField):
-    """Piecewise-linear offsets over ordered waypoints, constant outside them.
+    """Piecewise-linear offsets over waypoints whose times follow the grid axis rule.
 
-    Time is clamped into the waypoint times, then bracketed like a grid axis (NaN: ``OutOfDomain``).
+    Constant outside them: time is clamped into them, then bracketed (NaN: ``OutOfDomain``).
     """
 
     _fields = ("waypoints",)
@@ -110,12 +108,7 @@ class WaypointField(_Frozen, OffsetField):
     def __init__(self, waypoints: Iterable[Waypoint]):
         waypoints = tuple(waypoints)
         _set(self, "waypoints", waypoints)
-        if len(waypoints) < 2:
-            raise ValueError("a waypoint field needs at least two waypoints")
-        times = tuple(w.t for w in waypoints)
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise ValueError(f"waypoint times must be strictly increasing, got {list(times)}")
-        _set(self, "_times", times)
+        _set(self, "_times", _checked_axis("time", (w.t for w in waypoints)))
 
     def evaluate(self, t: float, lon: float, lat: float) -> Offsets:
         times = self._times
@@ -125,16 +118,21 @@ class WaypointField(_Frozen, OffsetField):
                               a.delta_p + s * (b.delta_p - a.delta_p)))
 
 
+def _checked_axis(name: str, values: Iterable[float]) -> tuple[float, ...]:
+    """The one axis rule, as a float tuple: two or more values, strictly increasing, finite."""
+    axis = tuple(map(float, values))
+    if len(axis) < 2:
+        raise NonMonotonicAxis(f"{name} axis needs at least two values")
+    if any(a >= b for a, b in zip(axis, axis[1:])):
+        raise NonMonotonicAxis(f"{name} axis must be strictly increasing: {axis}")
+    if any(not math.isfinite(v) for v in axis):
+        raise NonMonotonicAxis(f"{name} axis must be finite: {axis}")
+    return axis
+
+
 def _checked_axes(*axes: Iterable[float]) -> tuple[tuple[float, ...], ...]:
-    """(t, lon, lat) as float tuples: strictly increasing, finite, lon and lat in range."""
-    t, lon, lat = (tuple(float(v) for v in axis) for axis in axes)
-    for name, axis in (("time", t), ("longitude", lon), ("latitude", lat)):
-        if len(axis) < 2:
-            raise NonMonotonicAxis(f"{name} axis needs at least two values")
-        if any(a >= b for a, b in zip(axis, axis[1:])):
-            raise NonMonotonicAxis(f"{name} axis must be strictly increasing: {axis}")
-        if any(not math.isfinite(v) for v in axis):
-            raise NonMonotonicAxis(f"{name} axis must be finite: {axis}")
+    """(t, lon, lat) under the axis rule, lon in [0, 2*pi) and lat in [-pi/2, pi/2]."""
+    t, lon, lat = map(_checked_axis, ("time", "longitude", "latitude"), axes)
     if not all(0.0 <= v < TWO_PI for v in lon):
         raise NonMonotonicAxis(f"longitude axis must lie in [0, 2*pi): {lon}")
     for v in lat:
@@ -335,13 +333,22 @@ class GridField(_Frozen, OffsetField):
         return _new(Offsets, (_trilerp(dT, corners, wi, wj, wk), _trilerp(dp, corners, wi, wj, wk)))
 
 
-def _line_error(lines: list[str], first_line_no: int, n_fields: int) -> ParseError:
-    """The error of the first line the per-line rule rejects.
+def _numbers(rows: list[str], n_fields: int) -> Iterator[float]:
+    """The floats of non-blank ``rows``, lazily, under the one line rule; else ValueError.
 
-    The rule: a line with ``n_fields`` comma-separated fields, each a
-    ``_NUMBER`` once stripped of whitespace.  Only called on a block the
-    chunked parse rejected, which always holds such a line.
+    Whitespace becomes spaces; then only number characters, commas and spaces, ``n_fields - 1``
+    commas a row, and ``float`` on every field, which in that set reads the plain decimals only.
     """
+    text = ",".join(rows).translate(_SPACES)
+    if text.translate(_NUMBER_CHARS) or any(
+        map((n_fields - 1).__ne__, map(str.count, rows, repeat(",")))
+    ):
+        raise ValueError("not a row of plain decimal numbers")
+    return map(float, text.split(","))
+
+
+def _line_error(lines: list[str], first_line_no: int, n_fields: int) -> ParseError:
+    """The error of the first line, or field, that ``_numbers`` rejects in a block it rejected."""
     for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
@@ -349,10 +356,10 @@ def _line_error(lines: list[str], first_line_no: int, n_fields: int) -> ParseErr
         if len(parts) != n_fields:
             return ParseError(f"line {line_no}: expected {n_fields} fields, got {len(parts)}")
         for part in parts:
-            token = part.strip()
-            if not _NUMBER.match(token):
-                return ParseError(f"line {line_no}: {token!r} is not a plain decimal number")
-    raise AssertionError("the chunked parse rejected a block the per-line rule accepts")
+            try:
+                next(_numbers([part], 1))
+            except ValueError:
+                return ParseError(f"line {line_no}: {part.strip()!r} is not a plain decimal number")
 
 
 def _blocks(source: str) -> Iterator[tuple[int, list[str]]]:
@@ -375,13 +382,8 @@ def _parse_values(source: str, expected_header: str) -> array:
 
     A body line is blank (only whitespace, skipped) or ``n_fields``
     comma-separated plain decimal numbers, each with any whitespace
-    around it.  A block of lines is checked and parsed at once: each
-    whitespace character becomes a space, the block must then hold
-    nothing but the number characters, commas and spaces and the right
-    comma count on every line, and ``float`` reads its fields.  Within
-    that character set ``float`` accepts exactly the tokens ``_NUMBER``
-    does, so a rejected block raises the per-line rule's error for its
-    first bad line, and there is one parse only.
+    around it.  ``_numbers`` checks and parses a block of lines at once,
+    and ``_line_error`` names the first line a rejected block breaks.
     """
     blocks = _blocks(source)
     _, lines = next(blocks, (1, []))
@@ -393,18 +395,10 @@ def _parse_values(source: str, expected_header: str) -> array:
     values = array("d")
     for first_line_no, block in chain([(2, lines[1:])], blocks):
         rows = list(filter(str.strip, block))
-        if not rows:
-            continue
-        text = ",".join(rows).translate(_SPACES)
-        if not text.translate(_NUMBER_CHARS) and not any(
-            map((n_fields - 1).__ne__, map(str.count, rows, repeat(",")))
-        ):
-            try:
-                values.extend(map(float, text.split(",")))
-                continue
-            except ValueError:
-                pass
-        raise _line_error(block, first_line_no, n_fields)
+        try:
+            values.extend(_numbers(rows, n_fields) if rows else ())
+        except ValueError:
+            raise _line_error(block, first_line_no, n_fields) from None
     if not values:
         raise ParseError("no data rows")
     return values

@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 
 from .constants import (
     BETA_T_ABOVE, BETA_T_BELOW, G0, GBR, HP_MAX, HP_MIN, HP_TROP, P0, R_AIR, T0, T_ISA_TROP,
-    AtmosphericState, Offsets, _new, check_pressure_altitude, validate_offsets,
+    AtmosphericState, Offsets, _new, _onto_edge, check_pressure_altitude, validate_offsets,
 )
 from .errors import NoConvergence, NonPhysical, OutOfValidityRange
 from .solvers import newton
@@ -219,10 +219,9 @@ def state_at_geopotential(H: float, column: ColumnSpec) -> AtmosphericState:
         u, _ = newton(delta_T / t, 1.0 + BETA_T_BELOW * H / t, tol=tol)
         Hp, low, high = a.Hp_msl + t / BETA_T_BELOW * (u - 1.0), HP_MIN, HP_TROP
     if not low <= Hp <= high:
-        inside = min(max(Hp, low), high)
-        if abs(inside - Hp) > HP_INVERSION_TOL:
+        Hp = _onto_edge(Hp, low, high, HP_INVERSION_TOL)
+        if not low <= Hp <= high:
             raise NoConvergence(f"inversion landed at Hp={Hp!r} m, outside [{low}, {high}] m")
-        Hp = inside
     return _state(Hp, H, delta_T)
 
 

@@ -1,12 +1,19 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from insa import (
+    ConstantField,
+    GeodeticPosition,
     NonPhysical,
     OffsetBounds,
+    OffsetField,
     Offsets,
     OutOfValidityRange,
+    QuasiStaticModel,
+    Waypoint,
+    anchors,
     validate_offsets,
 )
 from insa.constants import (
@@ -20,6 +27,7 @@ from insa.constants import (
     RE,
     RHO0,
     T0,
+    _onto_edge,
     check_pressure_altitude,
 )
 
@@ -109,3 +117,74 @@ def test_pressure_altitude_band():
     for bad in (-2000.1, 20000.1, math.nan):
         with pytest.raises(OutOfValidityRange):
             check_pressure_altitude(bad)
+
+
+class TestNotAnOffsets:
+    """A pair without named fields is a TypeError wherever it is checked."""
+
+    MESSAGE = r"^offsets must be an Offsets, got \(1\.0, 2\.0\)$"
+
+    def test_validate_offsets(self):
+        with pytest.raises(TypeError, match=self.MESSAGE):
+            validate_offsets((1.0, 2.0))
+
+    def test_field_constructors(self):
+        with pytest.raises(TypeError, match=self.MESSAGE):
+            ConstantField((1.0, 2.0))
+        with pytest.raises(TypeError, match=self.MESSAGE):
+            Waypoint(0.0, 0.0, 0.0, (1.0, 2.0))
+
+    def test_anchors(self):
+        with pytest.raises(TypeError, match=self.MESSAGE):
+            anchors((1.0, 2.0))
+
+    def test_model_over_a_field_returning_a_plain_tuple(self):
+        class TupleField(OffsetField):
+            def evaluate(self, t, lon, lat):
+                return (1.0, 2.0)
+
+        model = QuasiStaticModel(TupleField())
+        position = GeodeticPosition(0.0, 0.0, 0.0)
+        for call in (lambda: model.query(0.0, position),
+                     lambda: model.property_rates(0.0, position, 1.0),
+                     lambda: model.offsets_at(0.0, 0.0, 0.0)):
+            with pytest.raises(TypeError, match=self.MESSAGE):
+                call()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def edge_cases(draw):
+    low, high = sorted((draw(FINITE), draw(FINITE)))
+    tol = draw(st.floats(min_value=0.0, allow_infinity=False))
+    # Any x, with draws near the edges, where the snap acts.
+    near = st.sampled_from([low, high]).flatmap(
+        lambda edge: st.floats(-2.0, 2.0).map(lambda k: edge + k * tol))
+    x = draw(st.one_of(st.floats(), near))
+    return x, low, high, tol
+
+
+class TestOntoEdge:
+    @given(edge_cases())
+    def test_snaps_only_within_tolerance(self, case):
+        x, low, high, tol = case
+        got = _onto_edge(x, low, high, tol)
+        if math.isnan(x):
+            assert math.isnan(got)
+            return
+        edge = low if x < low else high
+        if low <= x <= high or abs(edge - x) > tol:
+            assert got == x
+        else:
+            assert got == edge
+        assert got == x or abs(got - x) <= tol
+
+    def test_examples(self):
+        assert _onto_edge(-1e-10, 0.0, 1.0, 1e-9) == 0.0
+        assert _onto_edge(1.0 + 1e-10, 0.0, 1.0, 1e-9) == 1.0
+        assert _onto_edge(-1e-8, 0.0, 1.0, 1e-9) == -1e-8
+        assert _onto_edge(0.5, 0.0, 1.0, 1.0) == 0.5
+        assert _onto_edge(-math.inf, 0.0, 1.0, 1e-9) == -math.inf
+        assert math.isnan(_onto_edge(math.nan, 0.0, 1.0, math.inf))

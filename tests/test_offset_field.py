@@ -99,9 +99,9 @@ class TestRouteLinearField:
         )
 
     def test_time_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonMonotonicAxis):
             WaypointField((wp(10.0, Offsets(0.0, 0.0)), wp(10.0, Offsets(0.0, 0.0))))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonMonotonicAxis):
             WaypointField((wp(20.0, Offsets(0.0, 0.0)), wp(10.0, Offsets(0.0, 0.0))))
 
     @given(st.floats(min_value=0.0, max_value=6000.0))
@@ -158,9 +158,9 @@ class TestWaypointField:
             wp(t, Offsets(0.0, 0.0))
 
     def test_construction_requirements(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonMonotonicAxis):
             WaypointField(self.points[:1])
-        with pytest.raises(ValueError):
+        with pytest.raises(NonMonotonicAxis):
             WaypointField((self.points[0], self.points[0]))
 
     def test_time_axis_kept_from_construction(self):
@@ -1285,3 +1285,34 @@ class TestGridFromObservations:
                           p=pressure_from_hp(12000.0), T=220.0)
         with pytest.raises(NotInTroposphere):
             grid_from_observations([bad], self.t_axis, self.lon_axis, self.lat_axis)
+
+
+class TestOneAxisRule:
+    """The same bad times raise the same error, with the same message, on every path."""
+
+    @pytest.mark.parametrize(
+        "times, prefix",
+        [
+            ((0.0,), "time axis needs at least two values"),
+            ((0.0, 60.0, 60.0), "time axis must be strictly increasing: "),
+            ((0.0, 60.0, 30.0), "time axis must be strictly increasing: "),
+        ],
+        ids=["one_value", "repeated", "decrease"],
+    )
+    def test_bad_times_on_every_path(self, times, prefix):
+        lon_axis, lat_axis = (0.0, 1.0), (0.0, 0.5)
+        shape = (len(times), 2, 2)
+        builds = {
+            "OffsetGrid3D": lambda: OffsetGrid3D(
+                times, lon_axis, lat_axis, np.zeros(shape), np.zeros(shape)),
+            "grid_from_observations": lambda: grid_from_observations(
+                [], times, lon_axis, lat_axis),
+            "WaypointField": lambda: WaypointField(
+                wp(t, Offsets(0.0, 0.0)) for t in times),
+        }
+        messages = {}
+        for name, build in builds.items():
+            with pytest.raises(NonMonotonicAxis, match=f"^{re.escape(prefix)}") as err:
+                build()
+            messages[name] = str(err.value)
+        assert len(set(messages.values())) == 1, messages

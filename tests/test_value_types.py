@@ -168,7 +168,7 @@ def test_anchors_cache_keyed_by_type():
     # An equal plain tuple misses the cached Offsets entry and is checked,
     # which it fails for want of named fields.
     anchors(Offsets(15.0, 2000.0))
-    with pytest.raises(AttributeError):
+    with pytest.raises(TypeError, match=r"^offsets must be an Offsets, got \(15\.0, 2000\.0\)$"):
         anchors((15.0, 2000.0))
 
 
