@@ -42,12 +42,15 @@ class QuasiStaticModel(_Frozen):
     """A weather field bound to the static column model.
 
     One memo, ``((t, lon, lat, h), offsets, anchors, state)``, holds the
-    last point solved by ``query`` or ``property_rates``.  A
-    ``property_rates`` call at exactly that point (float equality of all
-    four coordinates) reuses its state, and a point whose field value is
-    an ``Offsets`` equal to the memo's pair reuses its anchors without
-    validating the pair against ``bounds`` again; a NaN pair never equals
-    it, and ``offsets_at`` validates on every call.  The memo is replaced
+    last point solved by ``query`` or ``property_rates``.  A point whose
+    field value is an ``Offsets`` equal to the memo's pair reuses its
+    anchors without validating the pair against ``bounds`` again (a NaN
+    pair never equals it, and ``offsets_at`` validates on every call);
+    if its ``h`` also equals the memo's nonzero ``h``, as in level flight,
+    it reuses the memo's state, the same bits, and solves nothing.  A
+    ``property_rates`` call at exactly the memo's point (float equality of
+    all four coordinates) reuses its state without evaluating the field.
+    The memo is replaced
     by one attribute store after each successful solve and read by one
     load, so errors are never remembered and a model shared between
     concurrent trajectory integrators can at worst miss and recompute,
@@ -75,12 +78,14 @@ class QuasiStaticModel(_Frozen):
         h to H, query the static column.
         """
         offsets = self.field.evaluate(check_time(t), position.lon, position.lat)
-        _, key, column, _ = self._memo
+        point, key, column, state = self._memo
+        h = position.h
         if type(offsets) is not Offsets or key != offsets:
             column = _column_anchors(validate_offsets(offsets, self.bounds))
-        H = _to_geopotential(position.h)  # h was checked with the position
-        state = state_at_geopotential(H, column)
-        _set(self, "_memo", ((t, position.lon, position.lat, position.h), offsets, column, state))
+            state = None
+        if state is None or point[3] != h or not h:  # a zero h solves: H keeps its sign
+            state = state_at_geopotential(_to_geopotential(h), column)  # h checked with position
+        _set(self, "_memo", ((t, position.lon, position.lat, h), offsets, column, state))
         return state
 
     def property_rates(

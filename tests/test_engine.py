@@ -497,7 +497,8 @@ FIELDS = st.one_of(
     ),
 )
 # Few distinct coordinates, so pairs repeat; t = 7200 lies beyond the grid's
-# time axis, and h = -3000 m and 30 km outside every column's span.
+# time axis, h = -3000 m and 30 km outside every column's span, and h = -0.0
+# equals 0.0 but gives H = -0.0.
 POINTS = [(t, lon, lat) for t in (0.0, 1800.0, 3600.0, 7200.0) for lon, lat in ((0.25, 0.0), (0.5, 0.25))]
 SCRIPTS = st.lists(
     st.sampled_from(["same", "same", "nan", "out", "tuple"]),
@@ -506,7 +507,7 @@ SCRIPTS = st.lists(
 STEPS = st.lists(
     st.tuples(
         st.sampled_from(POINTS),
-        st.sampled_from([-3000.0, 0.0, 5000.0, 12000.0, 30000.0]),
+        st.sampled_from([-3000.0, 0.0, -0.0, 5000.0, 12000.0, 30000.0]),
         st.sampled_from(["query", "rates", "both"]),
     ),
     min_size=1, max_size=12,
@@ -643,6 +644,68 @@ class TestOnePolicyAcrossFields:
         for t in (100.0, math.nan):  # the point is checked before the time
             with pytest.raises(OutOfValidityRange, match="^(longitude|latitude) "):
                 model.offsets_at(t, lon, lat)
+
+
+@pytest.mark.parametrize("kind", ["constant", "waypoint", "grid"])
+class TestLevelFlightReusesState:
+    """At the memo's h under an equal pair, ``query`` returns the memo's
+    state without solving the column; any other point solves."""
+
+    PAIR = Offsets(10.0, 500.0)
+    WALK = [(t, lon, lat) for t in (0.0, 900.0, 3600.0) for lon, lat in ((0.25, 0.0), (0.5, 0.25))]
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counting(H, column):
+            calls.append(H)
+            return state_at_geopotential(H, column)
+
+        monkeypatch.setattr(insa.engine, "state_at_geopotential", counting)
+        return calls
+
+    @pytest.mark.parametrize("h", [5000.0, 12000.0])  # Newton, then the closed form
+    def test_level_walk_solves_once(self, kind, solves, h):
+        field = field_holding(kind, self.PAIR)
+        model = QuasiStaticModel(field)
+        for t, lon, lat in self.WALK:
+            pos = GeodeticPosition(lon, lat, h)
+            assert repr(model.query(t, pos)) == repr(pipeline_state(field, t, pos))
+            assert repr(model.property_rates(t, pos, 3.0)) == repr(
+                pipeline_rates(field, t, pos, 3.0))
+        assert len(solves) == 1
+
+    def test_climb_solves_at_every_point(self, kind, solves):
+        field = field_holding(kind, self.PAIR)
+        model = QuasiStaticModel(field)
+        for i, (t, lon, lat) in enumerate(self.WALK):
+            pos = GeodeticPosition(lon, lat, 1000.0 + 2500.0 * i)
+            assert repr(model.query(t, pos)) == repr(pipeline_state(field, t, pos))
+        assert len(solves) == len(self.WALK)
+
+    @pytest.mark.parametrize("h", [0.0, -0.0])
+    def test_zero_altitude_solves_at_every_point(self, kind, solves, h):
+        field = field_holding(kind, self.PAIR)
+        model = QuasiStaticModel(field)
+        for t, lon, lat in self.WALK:
+            for pos in (GeodeticPosition(lon, lat, h), GeodeticPosition(lon, lat, -h)):
+                assert repr(model.query(t, pos)) == repr(pipeline_state(field, t, pos))
+        assert len(solves) == 2 * len(self.WALK)
+
+    @pytest.mark.parametrize("mode", ["out", "nan", "tuple"])
+    def test_rejected_pair_at_the_memo_altitude_raises(self, kind, solves, mode):
+        (t0, lon, lat), (t1, _, _), (t2, _, _) = self.WALK[0], self.WALK[2], self.WALK[4]
+        field = ScriptedField(field_holding(kind, self.PAIR), {(t1, lon, lat): mode})
+        model = QuasiStaticModel(field)
+        pos = GeodeticPosition(lon, lat, 5000.0)
+        model.query(t0, pos)
+        rejected = outcome(lambda: pipeline_state(field, t1, pos))
+        assert not rejected.startswith("AtmosphericState(")
+        assert outcome(lambda: model.query(t1, pos)) == rejected
+        assert outcome(lambda: model.property_rates(t1, pos, 3.0)) == rejected
+        assert repr(model.query(t2, pos)) == repr(pipeline_state(field, t2, pos))
+        assert len(solves) == 1
 
 
 def test_offsets_at_on_a_grid_checks_its_axes_after_the_band():
