@@ -50,12 +50,11 @@ class QuasiStaticModel(_Frozen):
     it reuses the memo's state, the same bits, and solves nothing.  A
     ``property_rates`` call at exactly the memo's point (float equality of
     all four coordinates) reuses its state without evaluating the field.
-    The memo is replaced
-    by one attribute store after each successful solve and read by one
-    load, so errors are never remembered and a model shared between
-    concurrent trajectory integrators can at worst miss and recompute,
-    never return another point's state.  It takes no part in eq, repr or
-    hash.
+    The memo is replaced by one attribute store after each successful
+    solve and read by one load, so errors are never remembered and a
+    model shared between concurrent trajectory integrators can at worst
+    miss and recompute, never return another point's state.  It takes no
+    part in eq, repr or hash.
     """
 
     _fields = ("field", "bounds")
