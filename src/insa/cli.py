@@ -30,7 +30,7 @@ from .errors import (
 from .figures import FIGURE_IDS, build_figure, render_table
 from .geodesy import geodetic_to_geopotential, geopotential_to_geodetic
 from .identification import Observation, identify_offsets, identify_offsets_batch
-from .offset_field import GridField, _flat, load_grid, load_observations
+from .offset_field import GridField, _flat, _observation_slices, load_grid
 from .static_atmosphere import (
     geopotential_from_hp,
     hp_from_geopotential,
@@ -94,13 +94,13 @@ def cmd_props(args):
         print(f"{label:5s} = {value:.6g} {unit}")
 
 
-# Batch output goes to stdout in slices of this many rows, one write (a system call
-# under `python -u` or on a terminal) per slice, with no more than a slice held as text.
+# Batch rows are identified and formatted this many at a time, and each slice's text is one
+# stdout write (a system call under `python -u` or on a terminal) once the last slice is done.
 _ROWS_PER_WRITE = 1024
 
 
-def _write_records(records, as_csv: bool) -> None:
-    """Write batch identification records to stdout, as csv or human lines."""
+def _write_records(slices, as_csv: bool) -> None:
+    """Write slices of batch identification records to stdout, as csv or human lines."""
     import csv  # here, not at the top: no other command needs it
 
     buffer = io.StringIO()
@@ -109,8 +109,9 @@ def _write_records(records, as_csv: bool) -> None:
         write(("t_s", "lon_deg", "lat_deg", "delta_t_k", "delta_p_pa", "error"))
     else:
         write = buffer.write
-    for start in range(0, len(records), _ROWS_PER_WRITE):
-        for t, lon, lat, offsets, error in records[start:start + _ROWS_PER_WRITE]:
+    texts = []
+    for records in slices:
+        for t, lon, lat, offsets, error in records:
             lon_deg, lat_deg = math.degrees(lon), math.degrees(lat)
             if as_csv and offsets is None:
                 write((t, lon_deg, lat_deg, "", "", str(error)))
@@ -120,9 +121,10 @@ def _write_records(records, as_csv: bool) -> None:
                 result = f"error: {error}" if offsets is None else (
                     f"delta_T = {offsets.delta_T:.6g} K, delta_p = {offsets.delta_p:.6g} Pa")
                 write(f"t={t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}: {result}\n")
-        sys.stdout.write(buffer.getvalue())
+        texts.append(buffer.getvalue())
         buffer.seek(0)
         buffer.truncate()
+    sys.stdout.writelines(texts)  # only now: a bad row in any slice leaves stdout empty
 
 
 def cmd_identify(args):
@@ -132,8 +134,8 @@ def cmd_identify(args):
         if any(getattr(args, k) is not None for k in ("h", "p", "t", "time", "lon", "lat", "km")):
             args.usage_error(
                 "--obs cannot be combined with --h/--p/--t/--time/--lon/--lat/--km")
-        observations = load_observations(_read_text(args.obs))
-        _write_records(identify_offsets_batch(observations), args.format == "csv")
+        slices = _observation_slices(_read_text(args.obs), _ROWS_PER_WRITE)
+        _write_records(map(identify_offsets_batch, slices), args.format == "csv")
         return
     if args.h is None or args.p is None or args.t is None:
         args.usage_error("give --h, --p, and --t (or --obs FILE)")

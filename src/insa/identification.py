@@ -118,7 +118,8 @@ def identify_offsets(obs: Observation) -> Offsets:
 class IdentificationRecord(NamedTuple):
     """Per-observation result of a batch identification.
 
-    Exactly one of ``offsets`` and ``error`` is set.
+    Exactly one of ``offsets`` and ``error`` is set.  An error carries no
+    traceback, so a record does not keep its batch alive.
     """
 
     t: float
@@ -135,6 +136,7 @@ def identify_offsets_batch(observations: Iterable[Observation]) -> list[Identifi
         try:
             record = (obs.t, obs.lon, obs.lat, identify_offsets(obs), None)
         except AtmosphereError as err:
-            record = (obs.t, obs.lon, obs.lat, None, err)
+            # Its traceback would hold this frame, and so every record of the batch.
+            record = (obs.t, obs.lon, obs.lat, None, err.with_traceback(None))
         results.append(_new(IdentificationRecord, record))
     return results

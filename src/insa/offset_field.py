@@ -547,17 +547,28 @@ def load_grid(source: str) -> OffsetGrid3D:
 
 def load_observations(source: str) -> list[Observation]:
     """Parse an observation file into observation records."""
+    return list(_observations(_parse_values(source, OBSERVATION_HEADER)))
+
+
+def _observation_slices(source: str, n_rows: int) -> Iterator[Iterator[Observation]]:
+    """An observation file's observations, ``n_rows`` rows a slice, each built when drawn.
+
+    The whole file parses first, so a syntax error wins over any row's checks.
+    """
     values = _parse_values(source, OBSERVATION_HEADER)
-    observations: list[Observation] = []
-    try:
-        for t, lon_deg, lat_deg, h, p, T in zip(*[iter(values)] * 6):
-            observations.append(
-                Observation(t, math.radians(lon_deg), math.radians(lat_deg), h, p, T)
-            )
-    except AtmosphereError as err:
-        # The row that failed is the one after the last appended.
-        raise ParseError(f"observation row {len(observations) + 1}: {err}") from err
-    return observations
+    step = 6 * n_rows
+    return (_observations(values[i:i + step], i // 6 + 1) for i in range(0, len(values), step))
+
+
+def _observations(values: array, first_row: int = 1) -> Iterator[Observation]:
+    """Parsed rows as observations; a bad one raises ``ParseError("observation row N: ...")``."""
+    rows = zip(*[iter(values)] * 6)
+    for row, (t, lon_deg, lat_deg, h, p, T) in enumerate(rows, first_row):
+        try:
+            obs = Observation(t, math.radians(lon_deg), math.radians(lat_deg), h, p, T)
+        except AtmosphereError as err:
+            raise ParseError(f"observation row {row}: {err}") from err
+        yield obs
 
 
 def _nearest_index(axis: Sequence[float], x: float) -> int:

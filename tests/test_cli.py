@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -408,6 +409,59 @@ class TestIdentifySlices:
             main.main(["identify", "--obs", str(obs_file), "--format", fmt])
         assert exit_.value.code == 0
         assert len(writes) == 3
+
+    def test_bad_row_in_a_late_slice_leaves_stdout_empty(self, runner, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(
+            "t_s,lon_deg,lat_deg,h_m,p_pa,t_k\n"
+            + "0.0,0.0,0.0,0.0,101325.0,288.15\n" * (2 * _ROWS_PER_WRITE)
+            + "0.0,0.0,95.0,0.0,101325.0,288.15\n"
+        )
+        for fmt in ("human", "csv"):
+            result = runner.invoke(main, ["identify", "--obs", str(obs_file), "--format", fmt])
+            assert result.exit_code == 5
+            assert f"observation row {2 * _ROWS_PER_WRITE + 1}: latitude " in result.stderr
+            assert " outside " in result.stderr
+            assert result.stdout == ""
+
+    def test_syntax_error_wins_over_an_earlier_bad_row(self, runner, tmp_path):
+        n = 2 * _ROWS_PER_WRITE
+        rows = ["0.0,0.0,0.0,0.0,101325.0,288.15"] * n
+        rows[2] = "0.0,0.0,95.0,0.0,101325.0,288.15"
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(
+            "\n".join(["t_s,lon_deg,lat_deg,h_m,p_pa,t_k", *rows, "0.0,0.0,0.0,0.0,101325.0"])
+            + "\n"
+        )
+        result = runner.invoke(main, ["identify", "--obs", str(obs_file)])
+        assert result.exit_code == 5
+        assert f"line {n + 2}: expected 6 fields, got 5" in result.stderr
+        assert "observation row" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_peak_memory_per_row_stays_small(self, tmp_path, fmt):
+        """Past the parsed numbers and the output text, one slice of rows is
+        alive at a time: the traced peak grows by well under the ~440 bytes a
+        row that holding every observation and record took."""
+
+        def peak_bytes(n_rows):
+            obs_file = tmp_path / f"obs{n_rows}.csv"
+            obs_file.write_text(_seam_observation_text(n_rows))
+            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(SystemExit) as exit_:
+                        main.main(["identify", "--obs", str(obs_file), "--format", fmt])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert exit_.value.code == 0
+            return peak
+
+        peak_bytes(1)  # imports and first-call caches, outside the comparison
+        growth = (peak_bytes(8192) - peak_bytes(2048)) / (8192 - 2048)
+        assert growth < 200
 
     def test_closed_stdout_exits_1_in_silence(self, tmp_path):
         obs_file = tmp_path / "obs.csv"

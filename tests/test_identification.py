@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -233,6 +234,21 @@ class TestBatch:
         assert records[1].offsets is None
         assert isinstance(records[1].error, NotInTroposphere)
         assert records[2].error is None
+
+    def test_error_records_leave_nothing_for_the_collector(self):
+        # An error kept with its traceback would hold the batch's frame, and
+        # through it every record, in a reference cycle.
+        above = Observation(t=0.0, lon=0.0, lat=0.0, h=300.0, p=pressure_from_hp(12000.0), T=220.0)
+        gc.collect()
+        gc.disable()
+        try:
+            records = identify_offsets_batch([STANDARD_MSL_OBS, above])
+            assert isinstance(records[1].error, NotInTroposphere)
+            assert records[1].error.__traceback__ is None
+            del records
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_order_preserved(self):
         obs = [observation_from_offsets(float(k), 0.0, h=0.0, t=float(k)) for k in range(5)]
