@@ -553,7 +553,8 @@ def load_observations(source: str) -> list[Observation]:
 def _observation_slices(source: str, n_rows: int) -> Iterator[Iterator[Observation]]:
     """An observation file's observations, ``n_rows`` rows a slice, each built when drawn.
 
-    The whole file parses first, so a syntax error wins over any row's checks.
+    The whole file parses first, so a syntax error wins over any row's checks, and
+    only its numbers are kept, not the text.
     """
     values = _parse_values(source, OBSERVATION_HEADER)
     step = 6 * n_rows
