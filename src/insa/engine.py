@@ -10,7 +10,7 @@ vertical term `gradient * dH/dt` is retained.
 
 from __future__ import annotations
 
-import math
+from math import inf
 from typing import NamedTuple
 
 from .constants import (
@@ -96,7 +96,7 @@ class QuasiStaticModel(_Frozen):
         conversion; the offsets are held frozen at (t, lon, lat), so a
         time-varying field contributes nothing at h_dot = 0 by design.
         """
-        if not math.isfinite(h_dot):
+        if not -inf < h_dot < inf:
             raise OutOfValidityRange(f"climb rate must be finite, got {h_dot!r}")
         point, _, _, state = self._memo
         if point != (t, position.lon, position.lat, position.h):

@@ -201,23 +201,21 @@ def state_at_geopotential(H: float, column: ColumnSpec) -> AtmosphericState:
             or a result past its layer or the validity band by more than
             HP_INVERSION_TOL; a smaller overshoot is moved onto the edge.
     """
-    a = _as_anchors(column)
-    if not a.H_min <= H <= a.H_max:
-        o = a.offsets  # any pair equal to it, -0.0 for 0.0 say, names it alike
+    o, Hp_msl, t, _, H_trop, T_trop, H_min, H_max = _as_anchors(column)  # t: T_isa_msl
+    if not H_min <= H <= H_max:  # any pair equal to o, -0.0 for 0.0 say, names it alike
         raise OutOfValidityRange(
-            f"geopotential altitude {H!r} m outside [{a.H_min}, {a.H_max}] m"
+            f"geopotential altitude {H!r} m outside [{H_min}, {H_max}] m"
             f" for offsets {Offsets(float(o.delta_T) + 0.0, float(o.delta_p) + 0.0)}"
         )
-    delta_T = a.offsets.delta_T
-    if H > a.H_trop:
-        Hp, low, high = HP_TROP + T_ISA_TROP / a.T_trop * (H - a.H_trop), HP_TROP, HP_MAX
+    delta_T = o.delta_T
+    if H > H_trop:
+        Hp, low, high = HP_TROP + T_ISA_TROP / T_trop * (H - H_trop), HP_TROP, HP_MAX
     elif delta_T == 0.0:
-        Hp, low, high = H + a.Hp_msl, HP_MIN, HP_TROP
+        Hp, low, high = H + Hp_msl, HP_MIN, HP_TROP
     else:
-        t = a.T_isa_msl
         tol = HP_INVERSION_TOL * -BETA_T_BELOW / t
         u, _ = newton(delta_T / t, 1.0 + BETA_T_BELOW * H / t, tol=tol)
-        Hp, low, high = a.Hp_msl + t / BETA_T_BELOW * (u - 1.0), HP_MIN, HP_TROP
+        Hp, low, high = Hp_msl + t / BETA_T_BELOW * (u - 1.0), HP_MIN, HP_TROP
     if not low <= Hp <= high:
         Hp = _onto_edge(Hp, low, high, HP_INVERSION_TOL)
         if not low <= Hp <= high:
@@ -263,10 +261,10 @@ def gradients_of_state(st: AtmosphericState) -> tuple[float, float, float]:
     pays no second column solve; a plain ``(dp_dH, dT_dH, drho_dH)`` tuple,
     which ``vertical_gradients`` names.
     """
-    beta = BETA_T_BELOW if st.Hp <= HP_TROP else BETA_T_ABOVE
-    dp_dH = -st.rho * G0
-    dT_dH = beta * st.T_isa / st.T
-    drho_dH = dp_dH / (R_AIR * st.T) - st.p * dT_dH / (R_AIR * st.T * st.T)
+    Hp, _, p, T, T_isa, rho = st
+    dp_dH = -rho * G0
+    dT_dH = (BETA_T_BELOW if Hp <= HP_TROP else BETA_T_ABOVE) * T_isa / T
+    drho_dH = dp_dH / (R_AIR * T) - p * dT_dH / (R_AIR * T * T)
     return dp_dH, dT_dH, drho_dH
 
 

@@ -35,11 +35,11 @@ from insa import (
 TWO_PI = 2.0 * math.pi
 
 DIGESTS = {
-    "constant": "1489f9d75646b6c907ccb4c596a77a25ce78498481e127e61b7f676a885bd3c2",
-    "waypoint": "6474a293dd23ea6e348f0d74b609c8f47c8cf8876c7c37b9103d4ae9f7b16a34",
-    "grid": "bae6f1b8549003d610490d45162f74ab4d24341ee47c25182ccc3ec6c0995b42",
+    "constant": "91c279b6e3ace4eae154dcf53d6492f364f75ea9bc4310852e1778767aada81c",
+    "waypoint": "6cdca6db38026742722ca907cb9658a1a903b7ffbab19e2f34cbba142012b520",
+    "grid": "fdb5b17a1717c215b046ee35730a10437eeb96df24962b8410611a9c0a3ee10b",
     "anchors": "fc5f257b374c9340c0f69cd64f64cbd5416c15036b535bcda32eafabe22507fc",
-    "identify": "e46c7d2a866f83345325d0f4bec98fa8ea2878d17a5ce65ac585ecf5ab6e9c7c",
+    "identify": "1ffee2ea690fca33999198df88c5a1ee62aa10e2db7787c00db74ad46445c27b",
     "public_names": "26b353055c539599ed3526fa8f96a5120011615d930983270d6d49ba4906bf12",
 }
 
