@@ -21,10 +21,10 @@ def newton(a: float, c: float, *, tol: float) -> tuple[float, int]:
     4*(1/3 + 1/4)*1e-15 < 2.34e-15.  The box has |a| <= 0.231, u >= 0.73
     and tol >= 2.2e-14 (the Hp inversion at T_isa_msl = 295.8 K); a warm
     station far below sea level (c < a) has its root under 0.5 and keeps
-    the tol rule.  A Halley step that would leave 0 < u < inf (a
-    warm column with a small c overshoots past zero) is replaced by a
-    Newton step on ln(u), which keeps u positive.  A non-finite iterate,
-    more than MAX_ITER iterations, a flat slope or an overflow raises
+    the tol rule.  A Halley step that would leave 0 < u < inf (a warm
+    column with a small c overshoots past zero) is replaced by a Newton
+    step on ln(u), which keeps u positive.  A non-finite iterate, more
+    than MAX_ITER iterations, a flat slope or an overflow raises
     NoConvergence.
 
     Near the double root of a cold column, a < 0 with c - c_min < 1e-3
