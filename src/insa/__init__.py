@@ -19,7 +19,6 @@ from .constants import (
 from .engine import PropertyRates, QuasiStaticModel
 from .errors import (
     AtmosphereError,
-    EmptyNode,
     IncompleteGrid,
     NoConvergence,
     NonMonotonicAxis,
@@ -49,7 +48,6 @@ from .offset_field import (
     OffsetGrid3D,
     Waypoint,
     WaypointField,
-    grid_from_observations,
     load_grid,
     load_observations,
 )

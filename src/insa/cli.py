@@ -20,7 +20,6 @@ from .constants import Offsets, validate_offsets
 from .engine import QuasiStaticModel
 from .errors import (
     AtmosphereError,
-    EmptyNode,
     IncompleteGrid,
     NonMonotonicAxis,
     NotInTroposphere,
@@ -42,7 +41,7 @@ from .static_atmosphere import (
 def _exit_code(err: AtmosphereError | OSError) -> int:
     if isinstance(err, NotInTroposphere):
         return 4
-    if isinstance(err, (OSError, ParseError, IncompleteGrid, NonMonotonicAxis, EmptyNode)):
+    if isinstance(err, (OSError, ParseError, IncompleteGrid, NonMonotonicAxis)):
         return 5
     return 3
 

@@ -35,7 +35,3 @@ class IncompleteGrid(AtmosphereError):
 
 class NonMonotonicAxis(AtmosphereError):
     """A grid axis or a waypoint field's times: fewer than two, not finite, or not increasing."""
-
-
-class EmptyNode(AtmosphereError):
-    """A grid node received no observation during grid assembly."""

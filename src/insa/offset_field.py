@@ -25,20 +25,18 @@ import math
 from array import array
 from bisect import bisect_right
 from itertools import chain, count, repeat
-from operator import truediv
 from typing import Iterable, Iterator, Sequence
 
 from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, _Frozen, _new, _set, validate_offsets
 from .errors import (
     AtmosphereError,
-    EmptyNode,
     IncompleteGrid,
     NonMonotonicAxis,
     OutOfDomain,
     ParseError,
 )
 from .geodesy import TWO_PI, check_latitude, check_time, normalize_longitude
-from .identification import Observation, identify_offsets
+from .identification import Observation
 
 GRID_HEADER = "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"
 OBSERVATION_HEADER = "t_s,lon_deg,lat_deg,h_m,p_pa,t_k"
@@ -570,67 +568,3 @@ def _observations(values: array, first_row: int = 1) -> Iterator[Observation]:
         except AtmosphereError as err:
             raise ParseError(f"observation row {row}: {err}") from err
         yield obs
-
-
-def _nearest_index(axis: Sequence[float], x: float) -> int:
-    return min(range(len(axis)), key=lambda i: abs(axis[i] - x))
-
-
-def _nearest_lon_index(axis: Sequence[float], lon: float) -> int:
-    x = normalize_longitude(lon)
-
-    def distance(i: int) -> float:
-        d = abs(axis[i] - x) % TWO_PI
-        return min(d, TWO_PI - d)
-
-    return min(range(len(axis)), key=distance)
-
-
-def grid_from_observations(
-    observations: Iterable[Observation],
-    t_axis: Sequence[float],
-    lon_axis: Sequence[float],
-    lat_axis: Sequence[float],
-) -> OffsetGrid3D:
-    """Assemble an offset grid by identifying and node-averaging observations.
-
-    Each observation is identified individually, assigned to its nearest
-    grid node (per-axis nearest, longitude measured around the circle,
-    the lower index on a tie), and node values are the unweighted means
-    of their assigned offsets.
-
-    Raises:
-        NonMonotonicAxis: an empty, short, unordered or non-finite axis,
-            or a longitude axis outside [0, 2*pi).
-        OutOfValidityRange: a latitude axis outside [-pi/2, pi/2].
-            Both axis errors come before any observation is identified.
-        EmptyNode: some node received no observation.
-        Identification errors propagate for the offending record.
-    """
-    t_axis, lon_axis, lat_axis = _checked_axes(t_axis, lon_axis, lat_axis)
-    shape = (len(t_axis), len(lon_axis), len(lat_axis))
-    _, n_lon, n_lat = shape
-    n_nodes = math.prod(shape)
-    sums_T, sums_p, counts = [0.0] * n_nodes, [0.0] * n_nodes, [0] * n_nodes
-    for obs in observations:
-        offsets = identify_offsets(obs)
-        it = _nearest_index(t_axis, obs.t)
-        il = _nearest_lon_index(lon_axis, obs.lon)
-        ik = _nearest_index(lat_axis, obs.lat)
-        node = (it * n_lon + il) * n_lat + ik
-        sums_T[node] += offsets.delta_T
-        sums_p[node] += offsets.delta_p
-        counts[node] += 1
-    if 0 in counts:  # the first empty node in C order
-        it, rest = divmod(counts.index(0), n_lon * n_lat)
-        raise EmptyNode(
-            f"no observation near node t={t_axis[it]}, lon={lon_axis[rest // n_lat]},"
-            f" lat={lat_axis[rest % n_lat]}"
-        )
-    return OffsetGrid3D(
-        t_axis=t_axis,
-        lon_axis=lon_axis,
-        lat_axis=lat_axis,
-        delta_T=_shaped(array("d", map(truediv, sums_T, counts)), shape),
-        delta_p=_shaped(array("d", map(truediv, sums_p, counts)), shape),
-    )

@@ -593,6 +593,17 @@ class TestGridValidate:
         assert result.exit_code == 5
         assert "missing node" in result.stderr
 
+    def test_descending_axis_exit_code(self, runner, tmp_path):
+        grid_file = tmp_path / "grid.csv"
+        grid_file.write_text(
+            GRID_TEXT.splitlines()[0] + "\n"
+            + "".join(f"{t},{lon},{lat},10.0,2500.0\n"
+                      for t in (3600.0, 0.0) for lon in (10.0, 20.0) for lat in (40.0, 50.0))
+        )
+        result = runner.invoke(main, ["grid-validate", str(grid_file)])
+        assert result.exit_code == 5
+        assert "descending order" in result.stderr
+
 
 @pytest.mark.parametrize(
     "args",
@@ -674,9 +685,8 @@ def test_grid_paths_leave_numpy_unloaded(tmp_path):
     grid_file.write_text(GRID_TEXT)
     code = f"""
 import contextlib, io, math, sys
-from insa import GridField, grid_from_observations, load_grid
+from insa import GridField, load_grid
 from insa.cli import main
-from insa.identification import Observation
 for args in (["props", "--hp", "0", "--grid", {str(grid_file)!r}, "--time", "1800",
               "--lon", "15", "--lat", "45"], ["grid-validate", {str(grid_file)!r}]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -687,10 +697,6 @@ for args in (["props", "--hp", "0", "--grid", {str(grid_file)!r}, "--time", "180
 with open({str(grid_file)!r}, encoding="utf-8") as f:
     field = GridField(load_grid(f.read()))
 assert field.evaluate(1800.0, math.radians(15.0), 0.7) == (10.0, 2500.0)
-axes = (0.0, 3600.0), (0.1, 0.2), (0.6, 0.7)
-observations = [Observation(t, lon, lat, 0.0, 101325.0, 288.15)
-                for t in axes[0] for lon in axes[1] for lat in axes[2]]
-assert grid_from_observations(observations, *axes).n_nodes == 8
 print("numpy" in sys.modules)
 """
     out = subprocess.run(

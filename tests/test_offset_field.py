@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from insa import (
     AtmosphereError,
     ConstantField,
-    EmptyNode,
     NonPhysical,
     GridField,
     IncompleteGrid,
@@ -33,11 +32,8 @@ from insa import (
     QuasiStaticModel,
     Waypoint,
     WaypointField,
-    geodetic_to_geopotential,
-    grid_from_observations,
     load_grid,
     load_observations,
-    state_at_geopotential,
 )
 from insa.identification import Observation
 from insa import offset_field
@@ -303,6 +299,14 @@ class TestGridField:
         with pytest.raises(NonMonotonicAxis, match=r"longitude axis must lie in \[0, 2\*pi\)"):
             OffsetGrid3D(
                 t_axis=(0.0, 1.0), lon_axis=lon_axis, lat_axis=(0.0, 0.5),
+                delta_T=np.zeros((2, 2, 2)), delta_p=np.zeros((2, 2, 2)),
+            )
+
+    @pytest.mark.parametrize("lat_axis", [(0.0, 2.0), (-1.6, 0.0)])
+    def test_latitude_axis_outside_half_turn_rejected(self, lat_axis):
+        with pytest.raises(OutOfValidityRange, match=r"^latitude .* outside \[-pi/2, pi/2\]"):
+            OffsetGrid3D(
+                t_axis=(0.0, 1.0), lon_axis=(0.0, 1.0), lat_axis=lat_axis,
                 delta_T=np.zeros((2, 2, 2)), delta_p=np.zeros((2, 2, 2)),
             )
 
@@ -1174,130 +1178,19 @@ class TestLoadObservations:
             load_observations(text)
 
 
-class TestGridFromObservations:
-    def setup_method(self):
-        self.t_axis = (0.0, 3600.0)
-        self.lon_axis = (math.radians(10.0), math.radians(20.0))
-        self.lat_axis = (math.radians(40.0), math.radians(50.0))
-
-    def corners(self):
-        for t in self.t_axis:
-            for lon in self.lon_axis:
-                for lat in self.lat_axis:
-                    yield t, lon, lat
-
-    def test_standard_observations_give_zero_grid(self):
-        obs = [
-            Observation(t=t, lon=lon, lat=lat, h=0.0, p=101325.0, T=288.15)
-            for t, lon, lat in self.corners()
-        ]
-        grid = grid_from_observations(obs, self.t_axis, self.lon_axis, self.lat_axis)
-        assert np.all(np.abs(grid.delta_T) < 1e-9)
-        assert np.all(np.abs(grid.delta_p) < 1e-9)
-
-    @pytest.mark.parametrize("bad_t", [math.nan, math.inf])
-    def test_non_finite_time_is_not_binned(self, bad_t):
-        # The nearest-node search would put a NaN or inf time on the first node.
-        obs = (
-            Observation(t=t, lon=lon, lat=lat, h=0.0, p=101325.0, T=288.15)
-            for t, lon, lat in [*self.corners(), (bad_t, self.lon_axis[0], self.lat_axis[0])]
-        )
-        with pytest.raises(OutOfValidityRange, match="^time must be finite"):
-            grid_from_observations(obs, self.t_axis, self.lon_axis, self.lat_axis)
-
-    def test_duplicates_averaged(self):
-        obs = [
-            Observation(t=t, lon=lon, lat=lat, h=0.0, p=101325.0, T=288.15)
-            for t, lon, lat in self.corners()
-        ]
-        grid = grid_from_observations(
-            obs + obs, self.t_axis, self.lon_axis, self.lat_axis
-        )
-        assert np.all(np.abs(grid.delta_T) < 1e-9)
-
-    def test_forward_modeled_node_value(self):
-        state = state_at_geopotential(
-            geodetic_to_geopotential(350.0), Offsets(10.0, -2500.0)
-        )
-        special = Observation(
-            t=3590.0,
-            lon=self.lon_axis[1] + 0.01,
-            lat=self.lat_axis[1] - 0.01,
-            h=350.0,
-            p=state.p,
-            T=state.T,
-        )
-        others = [
-            Observation(t=t, lon=lon, lat=lat, h=0.0, p=101325.0, T=288.15)
-            for t, lon, lat in self.corners()
-            if not (t == 3600.0 and lon == self.lon_axis[1] and lat == self.lat_axis[1])
-        ]
-        grid = grid_from_observations(
-            others + [special], self.t_axis, self.lon_axis, self.lat_axis
-        )
-        assert grid.delta_T[1, 1, 1] == pytest.approx(10.0, abs=1e-7)
-        assert grid.delta_p[1, 1, 1] == pytest.approx(-2500.0, abs=1e-7)
-
-    def test_longitude_binned_around_the_circle(self):
-        # 350 deg is 20 deg from the 10 deg node across the seam, 150 deg from 200 deg.
-        lon_axis = (math.radians(10.0), math.radians(200.0))
-        obs = [
-            Observation(t=t, lon=lon, lat=lat, h=0.0, p=101325.0, T=288.15)
-            for t in self.t_axis
-            for lon in lon_axis
-            for lat in self.lat_axis
-        ]
-        state = state_at_geopotential(0.0, Offsets(10.0, 0.0))
-        obs.append(Observation(t=0.0, lon=math.radians(350.0), lat=self.lat_axis[0],
-                               h=0.0, p=state.p, T=state.T))
-        grid = grid_from_observations(obs, self.t_axis, lon_axis, self.lat_axis)
-        assert grid.delta_T[0, 0, 0] == pytest.approx(5.0, abs=1e-7)
-        assert grid.delta_T[0, 1, 0] == pytest.approx(0.0, abs=1e-9)
-
-    def test_empty_node(self):
-        obs = [Observation(t=0.0, lon=self.lon_axis[0], lat=self.lat_axis[0],
-                           h=0.0, p=101325.0, T=288.15)]
-        with pytest.raises(EmptyNode):
-            grid_from_observations(obs, self.t_axis, self.lon_axis, self.lat_axis)
-
-    @pytest.mark.parametrize(
-        "axis, message",
-        [
-            ((), "time axis needs at least two values"),
-            ((0.0,), "time axis needs at least two values"),
-            ((3600.0, 0.0), r"time axis must be strictly increasing: \(3600\.0, 0\.0\)"),
-            ((0.0, math.inf), r"time axis must be finite: \(0\.0, inf\)"),
-        ],
-        ids=["empty", "short", "descending", "non_finite"],
-    )
-    def test_bad_axis_rejected_before_identification(self, axis, message):
-        def observations():
-            raise AssertionError("an observation was identified")
-            yield
-
-        with pytest.raises(NonMonotonicAxis, match=f"^{message}$"):
-            grid_from_observations(observations(), axis, self.lon_axis, self.lat_axis)
-
-    def test_identification_errors_propagate(self):
-        from insa import NotInTroposphere, pressure_from_hp
-
-        bad = Observation(t=0.0, lon=0.0, lat=0.0, h=0.0,
-                          p=pressure_from_hp(12000.0), T=220.0)
-        with pytest.raises(NotInTroposphere):
-            grid_from_observations([bad], self.t_axis, self.lon_axis, self.lat_axis)
-
-
 class TestOneAxisRule:
     """The same bad times raise the same error, with the same message, on every path."""
 
     @pytest.mark.parametrize(
         "times, prefix",
         [
+            ((), "time axis needs at least two values"),
             ((0.0,), "time axis needs at least two values"),
             ((0.0, 60.0, 60.0), "time axis must be strictly increasing: "),
             ((0.0, 60.0, 30.0), "time axis must be strictly increasing: "),
+            ((0.0, math.inf), "time axis must be finite: (0.0, inf)"),
         ],
-        ids=["one_value", "repeated", "decrease"],
+        ids=["empty", "one_value", "repeated", "decrease", "non_finite"],
     )
     def test_bad_times_on_every_path(self, times, prefix):
         lon_axis, lat_axis = (0.0, 1.0), (0.0, 0.5)
@@ -1305,11 +1198,11 @@ class TestOneAxisRule:
         builds = {
             "OffsetGrid3D": lambda: OffsetGrid3D(
                 times, lon_axis, lat_axis, np.zeros(shape), np.zeros(shape)),
-            "grid_from_observations": lambda: grid_from_observations(
-                [], times, lon_axis, lat_axis),
             "WaypointField": lambda: WaypointField(
                 wp(t, Offsets(0.0, 0.0)) for t in times),
         }
+        if not all(map(math.isfinite, times)):
+            del builds["WaypointField"]  # a Waypoint rejects a non-finite time first
         messages = {}
         for name, build in builds.items():
             with pytest.raises(NonMonotonicAxis, match=f"^{re.escape(prefix)}") as err:
