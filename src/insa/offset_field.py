@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from itertools import chain, count, repeat
+from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
 from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, _Frozen, _new, _set, validate_offsets
@@ -41,14 +41,15 @@ from .identification import Observation
 GRID_HEADER = "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"
 OBSERVATION_HEADER = "t_s,lon_deg,lat_deg,h_m,p_pa,t_k"
 
-# Every character for which str.isspace() holds, mapped to a space: float()
-# refuses \x1c-\x1f around a number, which str.strip() removes.
+# Every character for which str.isspace() holds. Each but the line feed,
+# which ends a row, maps to a space: float() refuses \x1c-\x1f around a
+# number, which str.strip() removes.
 _WHITESPACE = (
     "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
     "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
-_SPACES = str.maketrans(_WHITESPACE, " " * len(_WHITESPACE))
-_NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE, ")  # deletes them
+_SPACES = str.maketrans(_WHITESPACE.replace("\n", ""), " " * (len(_WHITESPACE) - 1))
+_GRAMMAR = str.maketrans("", "", "0123456789.+-eE ")  # deletes the characters of plain decimals
 # Text parsed at once. It bounds the parse's transient memory; blocks of
 # 256k characters left about 0.9 MB more peak RSS in `insa identify --obs`
 # on 10k rows, as freed block buffers stayed in the heap.
@@ -331,22 +332,8 @@ class GridField(_Frozen, OffsetField):
         return _new(Offsets, (_trilerp(dT, corners, wi, wj, wk), _trilerp(dp, corners, wi, wj, wk)))
 
 
-def _numbers(rows: list[str], n_fields: int) -> Iterator[float]:
-    """The floats of non-blank ``rows``, lazily, under the one line rule; else ValueError.
-
-    Whitespace becomes spaces; then only number characters, commas and spaces, ``n_fields - 1``
-    commas a row, and ``float`` on every field, which in that set reads the plain decimals only.
-    """
-    text = ",".join(rows).translate(_SPACES)
-    if text.translate(_NUMBER_CHARS) or any(
-        map((n_fields - 1).__ne__, map(str.count, rows, repeat(",")))
-    ):
-        raise ValueError("not a row of plain decimal numbers")
-    return map(float, text.split(","))
-
-
 def _line_error(lines: list[str], first_line_no: int, n_fields: int) -> ParseError:
-    """The error of the first line, or field, that ``_numbers`` rejects in a block it rejected."""
+    """The error of the first line, or field, that breaks the plain form in a piece that did."""
     for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
@@ -354,25 +341,38 @@ def _line_error(lines: list[str], first_line_no: int, n_fields: int) -> ParseErr
         if len(parts) != n_fields:
             return ParseError(f"line {line_no}: expected {n_fields} fields, got {len(parts)}")
         for part in parts:
+            token = part.translate(_SPACES)
             try:
-                next(_numbers([part], 1))
+                if token.translate(_GRAMMAR):
+                    raise ValueError(token)
+                float(token)
             except ValueError:
                 return ParseError(f"line {line_no}: {part.strip()!r} is not a plain decimal number")
 
 
-def _blocks(source: str) -> Iterator[tuple[int, list[str]]]:
-    """``source.splitlines()`` in blocks of about ``_BLOCK_CHARS`` characters.
+def _blocks(source: str) -> Iterator[str]:
+    """``source`` in pieces of about ``_BLOCK_CHARS`` characters.
 
-    Each block comes with the number of its first line.  A block ends
-    just after a line feed, which never splits a CR LF pair, so the
-    blocks hold the same lines as the whole text.
+    A piece ends just after a line feed, which never splits a CR LF pair,
+    so the pieces hold the same lines as the whole text.
     """
-    line_no, pos = 1, 0
+    pos = 0
     while pos < len(source):
         cut = source.find("\n", pos + _BLOCK_CHARS) + 1 or len(source)
-        lines = source[pos:cut].splitlines()
-        yield line_no, lines
-        line_no, pos = line_no + len(lines), cut
+        yield source[pos:cut]
+        pos = cut
+
+
+def _plain_form(piece: str) -> tuple[str, int]:
+    """``piece`` brought into plain form line by line, and its number of lines.
+
+    Blank lines are dropped, every other whitespace character becomes a
+    space, and one line feed ends each row; no row gives "".
+    """
+    lines = piece.splitlines()
+    rows = list(filter(str.strip, lines))
+    rows.append("")  # the join then ends every row
+    return "\n".join(rows).translate(_SPACES), len(lines)
 
 
 def _parse_values(source: str, expected_header: str) -> array:
@@ -380,23 +380,39 @@ def _parse_values(source: str, expected_header: str) -> array:
 
     A body line is blank (only whitespace, skipped) or ``n_fields``
     comma-separated plain decimal numbers, each with any whitespace
-    around it.  ``_numbers`` checks and parses a block of lines at once,
-    and ``_line_error`` names the first line a rejected block breaks.
+    around it.  The text is read in pieces (``_blocks``), and each piece
+    is checked and split at once in plain form: every row ``n_fields``
+    fields of digits, ``.+-eE`` and spaces, ended by a line feed, so that
+    deleting those characters leaves ``n_fields - 1`` commas and a line
+    feed a row.  In that character set ``float`` reads the plain decimals
+    only.  A well-formed LF file is in plain form as it stands; any other
+    piece, and the header's, takes ``_plain_form`` first.  ``_line_error``
+    names the first line of a piece that still fails.
     """
-    blocks = _blocks(source)
-    _, lines = next(blocks, (1, []))
+    pieces = _blocks(source)
+    first = next(pieces, "")
+    lines = first.splitlines()
     if not lines:
         raise ParseError("empty file")
     if lines[0].strip() != expected_header:
         raise ParseError(f"bad header {lines[0].strip()!r}, expected {expected_header!r}")
     n_fields = expected_header.count(",") + 1
-    values = array("d")
-    for first_line_no, block in chain([(2, lines[1:])], blocks):
-        rows = list(filter(str.strip, block))
+    row = "," * (n_fields - 1) + "\n"
+    values, line_no = array("d"), 1
+    # The header's piece from the header's line break on: its first line is blank.
+    for piece in chain([first[len(lines[0]):]], pieces):
+        text, n_lines = piece, piece.count("\n")
         try:
-            values.extend(_numbers(rows, n_fields) if rows else ())
+            # The first row turns most pieces that are not plain away before the whole is read.
+            if not (text.endswith("\n") and text[:text.find("\n") + 1].translate(_GRAMMAR) == row
+                    and text.translate(_GRAMMAR) == row * n_lines):
+                text, n_lines = _plain_form(piece)
+                if text.translate(_GRAMMAR) != row * text.count("\n"):
+                    raise ValueError("not rows of plain decimal numbers")
+            values.extend(map(float, text.replace("\n", ",").split(",")[:-1]))
         except ValueError:
-            raise _line_error(block, first_line_no, n_fields) from None
+            raise _line_error(piece.splitlines(), line_no, n_fields) from None
+        line_no += n_lines
     if not values:
         raise ParseError("no data rows")
     return values
