@@ -390,17 +390,17 @@ def _parse_values(source: str, expected_header: str) -> array:
     names the first line of a piece that still fails.
     """
     pieces = _blocks(source)
-    first = next(pieces, "")
-    lines = first.splitlines()
-    if not lines:
+    piece = next(pieces, "")
+    if not piece:
         raise ParseError("empty file")
-    if lines[0].strip() != expected_header:
-        raise ParseError(f"bad header {lines[0].strip()!r}, expected {expected_header!r}")
+    header = piece.splitlines()[0]
+    if header.strip() != expected_header:
+        raise ParseError(f"bad header {header.strip()!r}, expected {expected_header!r}")
     n_fields = expected_header.count(",") + 1
     row = "," * (n_fields - 1) + "\n"
     values, line_no = array("d"), 1
-    # The header's piece from the header's line break on: its first line is blank.
-    for piece in chain([first[len(lines[0]):]], pieces):
+    piece = piece[len(header):]  # from the header's line break on: a blank first line
+    while piece:
         text, n_lines = piece, piece.count("\n")
         try:
             # The first row turns most pieces that are not plain away before the whole is read.
@@ -413,6 +413,7 @@ def _parse_values(source: str, expected_header: str) -> array:
         except ValueError:
             raise _line_error(piece.splitlines(), line_no, n_fields) from None
         line_no += n_lines
+        piece = next(pieces, "")
     if not values:
         raise ParseError("no data rows")
     return values
