@@ -637,6 +637,24 @@ class TestOnePolicyAcrossFields:
                 assert all(map(math.isfinite, got)), name  # no path leaks a non-finite pair
 
     @pytest.mark.parametrize(
+        "lon, lat", [(math.nan, 0.0), (0.5, math.nan), (0.5, 9.0)],
+        ids=["lon_nan", "lat_nan", "lat_9rad"],
+    )
+    def test_direct_evaluate_at_a_bad_point(self, kind, lon, lat):
+        # A field that reads no position gives its pair at t; the grid brackets
+        # the longitude ring and the latitude axis, and raises.
+        field = field_holding(kind, Offsets(10.0, 0.0))
+        if kind != "grid":
+            assert field.evaluate(900.0, lon, lat) == field.evaluate(900.0, 0.5, 0.0)
+            return
+        if math.isnan(lon):
+            error, match = OutOfValidityRange, "^longitude "
+        else:
+            error, match = OutOfDomain, "^latitude "
+        with pytest.raises(error, match=match):
+            field.evaluate(900.0, lon, lat)
+
+    @pytest.mark.parametrize(
         "lon, lat", [(math.nan, 0.0), (math.inf, 0.0), (0.5, 2.0), (0.5, math.nan)]
     )
     def test_offsets_at_bad_point_out_of_validity(self, kind, lon, lat):

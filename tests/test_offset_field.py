@@ -1121,6 +1121,12 @@ class TestParseDifferential:
             ("1.0,2.0,3.0,nan,5.0", "'nan' is not a plain decimal number"),
             ("1.0,2.0,3.0,4.0,1 5", "'1 5' is not a plain decimal number"),
             ("1.0,2.0,3.0,4.0,\u0665", "'\u0665' is not a plain decimal number"),
+            # Row-shaped: only float refuses these.
+            ("1.0,2.0,,4.0,5.0", "'' is not a plain decimal number"),
+            ("1.0,2.0,3.0,4.0,1e", "'1e' is not a plain decimal number"),
+            ("1.0,2.0,3.0,4.0,1.2.3", "'1.2.3' is not a plain decimal number"),
+            ("1.0,2.0,3.0,4.0,+-1", "'+-1' is not a plain decimal number"),
+            ("1.0,2.0,3.0,4.0,.", "'.' is not a plain decimal number"),
         ],
     )
     def test_bad_line_past_the_first_block(self, bad, message):
@@ -1132,6 +1138,19 @@ class TestParseDifferential:
         with pytest.raises(ParseError, match=f"^line 15002: {re.escape(message)}$"):
             load_grid(text)
         assert _load_outcome(load_grid, text) == _load_outcome(reference_load_grid, text)
+
+    def test_only_pieces_not_in_plain_form_are_normalised(self):
+        rows = [f"{t}.0,{x},{y},-0.0,4.5" for t in range(5000) for x in (1, 2) for y in (3, 4)]
+        lf = grid_file(rows)
+        crlf = lf.replace("\n", "\r\n")
+        got, plain_form = {}, offset_field._plain_form
+        for name, text in (("lf", lf), ("crlf", crlf)):
+            with mock.patch.object(offset_field, "_plain_form", wraps=plain_form) as calls:
+                got[name] = _load_outcome(load_grid, text), calls.call_count
+        assert got["lf"][1] == 1  # the header's piece only
+        assert got["crlf"][1] == len(list(offset_field._blocks(crlf))) > 10
+        assert got["crlf"][0] == got["lf"][0]
+        assert isinstance(got["lf"][0][0], bytes)  # a grid, not an error
 
     def test_parse_memory_is_bounded_by_the_block(self):
         rows = [
