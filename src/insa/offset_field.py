@@ -375,8 +375,8 @@ def _plain_form(piece: str) -> tuple[str, int]:
     return "\n".join(rows).translate(_SPACES), len(lines)
 
 
-def _parse_values(source: str, expected_header: str) -> array:
-    """Every number of the body, row after row, as one flat float array.
+def _parse_values(source: str, expected_header: str) -> list[array]:
+    """Every number of the body as one float array per column, one entry a row.
 
     A body line is blank (only whitespace, skipped) or ``n_fields``
     comma-separated plain decimal numbers, each with any whitespace
@@ -388,6 +388,11 @@ def _parse_values(source: str, expected_header: str) -> array:
     only.  A well-formed LF file is in plain form as it stands; any other
     piece, and the header's, takes ``_plain_form`` first.  ``_line_error``
     names the first line of a piece that still fails.
+
+    Each column is reserved once, for one row a line feed but no more
+    than one per ``2 * n_fields`` characters (the shortest row); each
+    piece's rows are written into it in place, a file with fewer line
+    feeds than rows extends it, and the end trims it to the rows read.
     """
     pieces = _blocks(source)
     piece = next(pieces, "")
@@ -398,7 +403,9 @@ def _parse_values(source: str, expected_header: str) -> array:
         raise ParseError(f"bad header {header.strip()!r}, expected {expected_header!r}")
     n_fields = expected_header.count(",") + 1
     row = "," * (n_fields - 1) + "\n"
-    values, line_no = array("d"), 1
+    reserved = min(source.count("\n"), len(source) // (2 * n_fields))
+    columns = [array("d", [0.0]) * reserved for _ in range(n_fields)]
+    n_rows, line_no = 0, 1
     piece = piece[len(header):]  # from the header's line break on: a blank first line
     while piece:
         text, n_lines = piece, piece.count("\n")
@@ -409,14 +416,21 @@ def _parse_values(source: str, expected_header: str) -> array:
                 text, n_lines = _plain_form(piece)
                 if text.translate(_GRAMMAR) != row * text.count("\n"):
                     raise ValueError("not rows of plain decimal numbers")
-            values.extend(map(float, text.replace("\n", ",").split(",")[:-1]))
+            tokens = text.replace("\n", ",").split(",")
+            end = len(tokens) - 1  # the last line feed leaves one empty token
+            rows = slice(n_rows, n_rows + end // n_fields)
+            for k, column in enumerate(columns):
+                column[rows] = array("d", list(map(float, tokens[k:end:n_fields])))
         except ValueError:
             raise _line_error(piece.splitlines(), line_no, n_fields) from None
+        n_rows = rows.stop
         line_no += n_lines
         piece = next(pieces, "")
-    if not values:
+    if not n_rows:
         raise ParseError("no data rows")
-    return values
+    for column in columns:
+        del column[n_rows:]
+    return columns
 
 
 def _strided_axis(column: memoryview) -> tuple[list[float], int] | None:
@@ -424,8 +438,8 @@ def _strided_axis(column: memoryview) -> tuple[list[float], int] | None:
 
     The stride is the number of leading rows that hold the first value; the
     axis is read from the column at that stride, and the whole column must
-    equal the axis with each value repeated ``stride`` times, over and over.
-    None when it does not.
+    equal the axis with each value repeated ``stride`` times, over and over:
+    it is compared one such period at a time.  None when it does not.
     """
     first = column[0]
     stride = next((row for row, v in enumerate(column) if v != first), len(column))
@@ -433,18 +447,20 @@ def _strided_axis(column: memoryview) -> tuple[list[float], int] | None:
     n = 1
     while n < len(lead) and lead[n] > lead[n - 1]:
         n += 1
-    if len(column) % (n * stride):
+    span = n * stride
+    if len(column) % span:
         return None
     axis = lead[:n].tolist()
     period = array("d")
     for value in axis:
         period.extend(array("d", (value,)) * stride)
-    if column != memoryview(period * (len(column) // len(period))):
+    period = memoryview(period)
+    if any(column[start:start + span] != period for start in range(0, len(column), span)):
         return None
     return axis, stride
 
 
-def _nested_rows(columns: list[memoryview]) -> tuple[list, list[array]] | None:
+def _nested_rows(columns: list[memoryview]) -> tuple[list, list] | None:
     """Axes and C-order node values of rows that nest the three axes in any order.
 
     Each coordinate column must repeat its axis at its own stride, and the
@@ -475,6 +491,8 @@ def _nested_rows(columns: list[memoryview]) -> tuple[list, list[array]] | None:
     starts = [0]
     for stride, n in dims:
         starts = [start + i * stride for start in starts for i in range(n)]
+    if starts == [0] and step == 1:  # C order: the value columns are the node values
+        return list(axes), columns[3:]
     span = (run - 1) * step + 1
     values = [
         array("d", b"".join(column[start:start + span:step].tobytes() for start in starts))
@@ -523,8 +541,7 @@ def _any_rows(columns: list[memoryview]) -> tuple[list, list[array]]:
     row_of = nodes[:]  # a complete grid has one row per node
     for row, node in enumerate(nodes):
         row_of[node] = row
-    contiguous = (array("d", column.tobytes()) for column in columns[3:])
-    return axes, [array("d", map(values.__getitem__, row_of)) for values in contiguous]
+    return axes, [array("d", map(column.__getitem__, row_of)) for column in columns[3:]]
 
 
 def load_grid(source: str) -> OffsetGrid3D:
@@ -532,7 +549,9 @@ def load_grid(source: str) -> OffsetGrid3D:
 
     Rows may list the nodes in any order.  Rows that nest the axes (any
     axis slowest, any next) are read by strided slices; other orders take
-    a per-row path with the same result.
+    a per-row path with the same result.  Rows in C order (time slowest,
+    latitude fastest) need no gather: the parsed ``delta_t_k`` and
+    ``delta_p_pa`` columns become the grid's storage, with no copy.
 
     Raises:
         ParseError: malformed header, rows, numbers, coordinate ranges,
@@ -545,8 +564,7 @@ def load_grid(source: str) -> OffsetGrid3D:
             kelvin, such as ``delta_t_k = -300``.
         OutOfValidityRange: a non-finite node value.
     """
-    values = memoryview(_parse_values(source, GRID_HEADER))
-    columns = [values[k::5] for k in range(5)]
+    columns = list(map(memoryview, _parse_values(source, GRID_HEADER)))
     (t_axis, lon_axis_deg, lat_axis_deg), (dT, dp) = (
         _nested_rows(columns) or _any_rows(columns)
     )
@@ -555,7 +573,7 @@ def load_grid(source: str) -> OffsetGrid3D:
         t_axis=tuple(t_axis),
         lon_axis=tuple(map(math.radians, lon_axis_deg)),
         lat_axis=tuple(map(math.radians, lat_axis_deg)),
-        delta_T=_shaped(dT, shape),  # gathered, never computed: -0.0 stays -0.0
+        delta_T=_shaped(dT, shape),  # parsed or gathered, never computed: -0.0 stays -0.0
         delta_p=_shaped(dp, shape),
     )
 
@@ -569,17 +587,17 @@ def _observation_slices(source: str, n_rows: int) -> Iterator[Iterator[Observati
     """An observation file's observations, ``n_rows`` rows a slice, each built when drawn.
 
     The whole file parses first, so a syntax error wins over any row's checks, and
-    only its numbers are kept, not the text.
+    only its numbers are kept, not the text: a slice is ``memoryview`` slices
+    of the six parsed columns, no copy.
     """
-    values = _parse_values(source, OBSERVATION_HEADER)
-    step = 6 * n_rows
-    return (_observations(values[i:i + step], i // 6 + 1) for i in range(0, len(values), step))
+    columns = list(map(memoryview, _parse_values(source, OBSERVATION_HEADER)))
+    return (_observations([column[i:i + n_rows] for column in columns], i + 1)
+            for i in range(0, len(columns[0]), n_rows))
 
 
-def _observations(values: array, first_row: int = 1) -> Iterator[Observation]:
-    """Parsed rows as observations; a bad one raises ``ParseError("observation row N: ...")``."""
-    rows = zip(*[iter(values)] * 6)
-    for row, (t, lon_deg, lat_deg, h, p, T) in enumerate(rows, first_row):
+def _observations(columns: Sequence, first_row: int = 1) -> Iterator[Observation]:
+    """Parsed columns as observations; a bad row raises ``ParseError("observation row N: ...")``."""
+    for row, (t, lon_deg, lat_deg, h, p, T) in enumerate(zip(*columns), first_row):
         try:
             obs = Observation(t, math.radians(lon_deg), math.radians(lat_deg), h, p, T)
         except AtmosphereError as err:

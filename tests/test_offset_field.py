@@ -995,6 +995,17 @@ class TestRowOrder:
         assert all(isinstance(part, bytes) for part in got)  # a grid, not an error
         assert got[0][:8] == got[1][:8] == np.array(-0.0).tobytes()  # the sign kept
 
+    def test_c_order_with_two_late_rows_swapped(self):
+        # Each coordinate column matches its period until the last time slab, so only a check
+        # of the whole column sends the file row by row.
+        header, *rows = self.TEXTS["tyx"].splitlines(keepends=True)
+        rows[-1], rows[-8] = rows[-8], rows[-1]  # in the last time slab; other longitude and latitude
+        with mock.patch.object(offset_field, "_any_rows", wraps=offset_field._any_rows) as any_rows:
+            got = _load_outcome(load_grid, header + "".join(rows))
+        assert any_rows.called
+        assert got == _load_outcome(load_grid, self.TEXTS["tyx"])
+        assert all(isinstance(part, bytes) for part in got)
+
 
 def reference_load_observations(source):
     """The observation loader over the line-by-line parse."""
@@ -1167,8 +1178,42 @@ class TestParseDifferential:
         finally:
             tracemalloc.stop()
         # 2.1 MB of values; a row-tuple parse of the same file peaks at 16 MB.
-        assert len(values) == 5 * len(rows)
+        assert list(map(len, values)) == [len(rows)] * 5
         assert peak < 10e6
+
+    def test_load_grid_memory_is_about_five_columns(self):
+        rows = [
+            f"{t!r},{lon!r},{lat!r},{lon / 7 - 20!r},{lat * 13.5 + 0.25!r}"
+            for t in range(0, 8 * 3600, 3600)
+            for lon in range(0, 360, 5)
+            for lat in range(-90, 91, 2)
+        ]
+        text = grid_file(rows)
+        tracemalloc.start()
+        try:
+            grid = load_grid(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.n_nodes == len(rows)
+        # Five float columns are 40 bytes a row; one more copy of a column or
+        # a flat array grown by extend would pass 56.
+        assert peak < 56 * len(rows)
+        assert kept < 16 * len(rows) + 50_000  # the delta_T and delta_p columns, kept as storage
+
+    @pytest.mark.parametrize("edit", ["cr_only", "blank_line_after_each_row", "no_final_lf"])
+    def test_reserved_columns_fit_any_line_breaks(self, edit):
+        # More rows than line feeds extend the columns; more line feeds than rows are trimmed.
+        rows = [f"{t}.0,{x},{y},-0.0,4.5" for t in range(3000) for x in (1, 2) for y in (3, 4)]
+        lf = grid_file(rows)
+        text = {
+            "cr_only": lf.replace("\n", "\r"),
+            "blank_line_after_each_row": lf.replace("\n", "\n\n"),
+            "no_final_lf": lf[:-1],
+        }[edit]
+        got = _load_outcome(load_grid, text)
+        assert got == _load_outcome(load_grid, lf)
+        assert isinstance(got[0], bytes)  # a grid, not an error
 
 
 class TestLoadObservations:
