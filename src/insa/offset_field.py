@@ -139,8 +139,8 @@ def _checked_axes(*axes: Iterable[float]) -> tuple[tuple[float, ...], ...]:
     return t, lon, lat
 
 
-def _shaped(flat: array, shape: tuple[int, ...]) -> memoryview:
-    """A C-order float64 view of ``shape`` on the flat array, no copy."""
+def _shaped(flat: array | memoryview, shape: tuple[int, ...]) -> memoryview:
+    """A C-order float64 view of ``shape`` on a flat float64 buffer, no copy."""
     return memoryview(flat).cast("B").cast("d", shape)
 
 
