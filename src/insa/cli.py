@@ -9,7 +9,6 @@ troposphere, 5 file or parse problem, 1 stdout closed early (``| head``).
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -29,7 +28,7 @@ from .errors import (
 from .figures import FIGURE_IDS, build_figure, render_table
 from .geodesy import geodetic_to_geopotential, geopotential_to_geodetic
 from .identification import Observation, identify_offsets, identify_offsets_batch
-from .offset_field import GridField, _flat, _observation_slices, load_grid
+from .offset_field import GridField, _file_blocks, _flat, _observation_slices, load_grid
 from .static_atmosphere import (
     geopotential_from_hp,
     hp_from_geopotential,
@@ -46,15 +45,6 @@ def _exit_code(err: AtmosphereError | OSError) -> int:
     return 3
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of an input file; bytes that are not UTF-8 are a ``ParseError``."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not UTF-8 at byte {err.start} ({err.reason})") from None
-
-
 def _altitude_m(value: float, in_km: bool) -> float:
     return value * 1000.0 if in_km else value
 
@@ -65,7 +55,7 @@ def _resolve_offsets(args) -> Offsets:
             args.usage_error("--grid cannot be combined with --dt/--dp")
         if args.time is None or args.lon is None or args.lat is None:
             args.usage_error("--grid requires --time, --lon, and --lat")
-        model = QuasiStaticModel(GridField(load_grid(_read_text(args.grid))))
+        model = QuasiStaticModel(GridField(load_grid(_file_blocks(args.grid))))
         return model.offsets_at(args.time, math.radians(args.lon), math.radians(args.lat))
     if args.time is not None or args.lon is not None or args.lat is not None:
         args.usage_error("--time, --lon, and --lat require --grid")
@@ -94,21 +84,24 @@ def cmd_props(args):
 
 
 # Batch rows are identified and formatted this many at a time, and each slice's text is one
-# stdout write (a system call under `python -u` or on a terminal) once the last slice is done.
+# stdout write (a system call under `python -u` or on a terminal) as soon as it is formatted.
 _ROWS_PER_WRITE = 1024
+
+
+class _Lines(list):  # a slice's text, joined once: a StringIO keeps 4 bytes a character
+    write = list.append  # what csv.writer calls
 
 
 def _write_records(slices, as_csv: bool) -> None:
     """Write slices of batch identification records to stdout, as csv or human lines."""
     import csv  # here, not at the top: no other command needs it
 
-    buffer = io.StringIO()
+    buffer = _Lines()
     if as_csv:
         write = csv.writer(buffer, lineterminator="\n").writerow
         write(("t_s", "lon_deg", "lat_deg", "delta_t_k", "delta_p_pa", "error"))
     else:
         write = buffer.write
-    texts = []
     for records in slices:
         for t, lon, lat, offsets, error in records:
             lon_deg, lat_deg = math.degrees(lon), math.degrees(lat)
@@ -120,10 +113,8 @@ def _write_records(slices, as_csv: bool) -> None:
                 result = f"error: {error}" if offsets is None else (
                     f"delta_T = {offsets.delta_T:.6g} K, delta_p = {offsets.delta_p:.6g} Pa")
                 write(f"t={t:.6g} s lon={lon_deg:.6g} lat={lat_deg:.6g}: {result}\n")
-        texts.append(buffer.getvalue())
-        buffer.seek(0)
-        buffer.truncate()
-    sys.stdout.writelines(texts)  # only now: a bad row in any slice leaves stdout empty
+        sys.stdout.write("".join(buffer))  # every row was checked before the first slice
+        buffer.clear()
 
 
 def cmd_identify(args):
@@ -133,7 +124,7 @@ def cmd_identify(args):
         if any(getattr(args, k) is not None for k in ("h", "p", "t", "time", "lon", "lat", "km")):
             args.usage_error(
                 "--obs cannot be combined with --h/--p/--t/--time/--lon/--lat/--km")
-        slices = _observation_slices(_read_text(args.obs), _ROWS_PER_WRITE)
+        slices = _observation_slices(_file_blocks(args.obs), _ROWS_PER_WRITE)
         _write_records(map(identify_offsets_batch, slices), args.format == "csv")
         return
     if args.h is None or args.p is None or args.t is None:
@@ -198,7 +189,7 @@ def cmd_figure(args):
 
 def cmd_grid_validate(args):
     """Check an offset grid file against the default bounds and print a summary."""
-    grid = load_grid(_read_text(args.grid_file))
+    grid = load_grid(_file_blocks(args.grid_file))
     flat_T, flat_p = _flat(grid.delta_T), _flat(grid.delta_p)
     dT, dp = (min(flat_T), max(flat_T)), (min(flat_p), max(flat_p))
     validate_offsets(Offsets(dT[0], dp[0]))

@@ -21,13 +21,16 @@ degrees [-90, 90].  Observation files share the conventions with header
 
 from __future__ import annotations
 
+import codecs
+import io
 import math
 from array import array
 from bisect import bisect_right
 from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
-from .constants import P0, PHYSICAL_ONLY, T_ISA_TROP, Offsets, _Frozen, _new, _set, validate_offsets
+from .constants import (
+    P0, PHYSICAL_ONLY, RE, T_ISA_TROP, Offsets, _Frozen, _new, _set, validate_offsets)
 from .errors import (
     AtmosphereError,
     IncompleteGrid,
@@ -50,9 +53,9 @@ _WHITESPACE = (
 )
 _SPACES = str.maketrans(_WHITESPACE.replace("\n", ""), " " * (len(_WHITESPACE) - 1))
 _GRAMMAR = str.maketrans("", "", "0123456789.+-eE ")  # deletes the characters of plain decimals
-# Text parsed at once. It bounds the parse's transient memory; blocks of
-# 256k characters left about 0.9 MB more peak RSS in `insa identify --obs`
-# on 10k rows, as freed block buffers stayed in the heap.
+# Text parsed, and bytes read from a file, at once. It bounds the parse's transient
+# memory; blocks of 256k characters left about 0.9 MB more peak RSS in `insa identify
+# --obs` on 10k rows, as freed block buffers stayed in the heap.
 _BLOCK_CHARS = 1 << 15
 
 
@@ -363,6 +366,35 @@ def _blocks(source: str) -> Iterator[str]:
         pos = cut
 
 
+def _file_blocks(path: str) -> Iterator:
+    """A UTF-8 file for ``_parse_values``: its line feeds and bytes, then its text in pieces
+    cut just after a line feed.  The first pass decodes only reads that are not ASCII, so a
+    bad byte anywhere raises with its file offset before any parse.
+    """
+    decoder, line_feeds, size = codecs.getincrementaldecoder("utf-8")(), 0, 0
+    with open(path, "rb") as file:
+        file = file if file.seekable() else io.BytesIO(file.read())  # a pipe is read once
+        for chunk in chain(iter(lambda: file.read(_BLOCK_CHARS), b""), [b""]):
+            line_feeds += chunk.count(b"\n")
+            if decoder.getstate()[0] or not chunk.isascii():
+                try:
+                    decoder.decode(chunk, not chunk)  # the empty last chunk ends the input
+                except UnicodeDecodeError as err:
+                    at = size - len(decoder.getstate()[0]) + err.start
+                    raise ParseError(f"{path}: not UTF-8 at byte {at} ({err.reason})") from None
+            size += len(chunk)
+        yield line_feeds, size
+        file.seek(0)
+        held = []  # the text since the last line feed, joined once one comes: linear in it
+        for chunk in iter(lambda: file.read(_BLOCK_CHARS), b""):
+            head, line_feed, tail = decoder.decode(chunk).rpartition("\n")
+            if line_feed:
+                yield "".join([*held, head, line_feed])
+                held.clear()
+            held.append(tail)
+        yield "".join(held)  # "" when the file ends with a line feed
+
+
 def _plain_form(piece: str) -> tuple[str, int]:
     """``piece`` brought into plain form line by line, and its number of lines.
 
@@ -375,12 +407,12 @@ def _plain_form(piece: str) -> tuple[str, int]:
     return "\n".join(rows).translate(_SPACES), len(lines)
 
 
-def _parse_values(source: str, expected_header: str) -> list[array]:
+def _parse_values(source: str | Iterator, expected_header: str) -> list[array]:
     """Every number of the body as one float array per column, one entry a row.
 
     A body line is blank (only whitespace, skipped) or ``n_fields``
     comma-separated plain decimal numbers, each with any whitespace
-    around it.  The text is read in pieces (``_blocks``), and each piece
+    around it.  The text (or a file, ``_file_blocks``) is read in pieces, and each piece
     is checked and split at once in plain form: every row ``n_fields``
     fields of digits, ``.+-eE`` and spaces, ended by a line feed, so that
     deleting those characters leaves ``n_fields - 1`` commas and a line
@@ -389,12 +421,14 @@ def _parse_values(source: str, expected_header: str) -> list[array]:
     piece, and the header's, takes ``_plain_form`` first.  ``_line_error``
     names the first line of a piece that still fails.
 
-    Each column is reserved once, for one row a line feed but no more
-    than one per ``2 * n_fields`` characters (the shortest row); each
-    piece's rows are written into it in place, a file with fewer line
-    feeds than rows extends it, and the end trims it to the rows read.
+    Each column is reserved once, for one row a line feed past the header's
+    but no more than one per ``2 * n_fields`` characters or bytes (the
+    shortest row); each piece's rows are written into it in place, a file
+    with fewer line feeds than rows extends it, and the end copies a column
+    the reservation missed to exactly its rows.
     """
-    pieces = _blocks(source)
+    pieces = _blocks(source) if isinstance(source, str) else source
+    line_feeds, size = next(pieces) if pieces is source else (source.count("\n"), len(source))
     piece = next(pieces, "")
     if not piece:
         raise ParseError("empty file")
@@ -403,10 +437,10 @@ def _parse_values(source: str, expected_header: str) -> list[array]:
         raise ParseError(f"bad header {header.strip()!r}, expected {expected_header!r}")
     n_fields = expected_header.count(",") + 1
     row = "," * (n_fields - 1) + "\n"
-    reserved = min(source.count("\n"), len(source) // (2 * n_fields))
+    piece = piece[len(header):]  # from the header's line break on: a blank first line
+    reserved = min(line_feeds - piece.startswith(("\n", "\r\n")), size // (2 * n_fields))
     columns = [array("d", [0.0]) * reserved for _ in range(n_fields)]
     n_rows, line_no = 0, 1
-    piece = piece[len(header):]  # from the header's line break on: a blank first line
     while piece:
         text, n_lines = piece, piece.count("\n")
         try:
@@ -428,8 +462,8 @@ def _parse_values(source: str, expected_header: str) -> list[array]:
         piece = next(pieces, "")
     if not n_rows:
         raise ParseError("no data rows")
-    for column in columns:
-        del column[n_rows:]
+    if n_rows != reserved:  # a trim or a growth would leave 1/16 spare: copy, one at a time
+        columns = [columns.pop(0)[:n_rows] for _ in range(n_fields)]
     return columns
 
 
@@ -544,8 +578,8 @@ def _any_rows(columns: list[memoryview]) -> tuple[list, list[array]]:
     return axes, [array("d", map(column.__getitem__, row_of)) for column in columns[3:]]
 
 
-def load_grid(source: str) -> OffsetGrid3D:
-    """Build an offset grid from grid-file content.
+def load_grid(source: str | Iterator) -> OffsetGrid3D:
+    """Build an offset grid from grid-file content (or a file read by ``_file_blocks``).
 
     Rows may list the nodes in any order.  Rows that nest the axes (any
     axis slowest, any next) are read by strided slices; other orders take
@@ -578,19 +612,24 @@ def load_grid(source: str) -> OffsetGrid3D:
     )
 
 
-def load_observations(source: str) -> list[Observation]:
+def load_observations(source: str | Iterator) -> list[Observation]:
     """Parse an observation file into observation records."""
     return list(_observations(_parse_values(source, OBSERVATION_HEADER)))
 
 
-def _observation_slices(source: str, n_rows: int) -> Iterator[Iterator[Observation]]:
+def _observation_slices(source: str | Iterator, n_rows: int) -> Iterator[Iterator[Observation]]:
     """An observation file's observations, ``n_rows`` rows a slice, each built when drawn.
 
     The whole file parses first, so a syntax error wins over any row's checks, and
     only its numbers are kept, not the text: a slice is ``memoryview`` slices
-    of the six parsed columns, no copy.
+    of the six parsed columns, no copy.  Every row is checked first, at once by column extremes.
     """
     columns = list(map(memoryview, _parse_values(source, OBSERVATION_HEADER)))
+    _, _, lat, h, p, T = columns
+    if not (all(math.isfinite(sum(column)) for column in columns)
+            and -math.pi / 2.0 <= math.radians(min(lat)) and math.radians(max(lat)) <= math.pi / 2.0
+            and min(h) > -RE / 2.0 and min(p) > 0.0 and min(T) > 0.0):
+        all(_observations(columns))  # every row built, in file order
     return (_observations([column[i:i + n_rows] for column in columns], i + 1)
             for i in range(0, len(columns[0]), n_rows))
 

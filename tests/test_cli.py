@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -23,6 +24,7 @@ from insa import (
     pressure_from_hp,
     state_at_geopotential,
 )
+from insa import offset_field
 from insa.cli import _ROWS_PER_WRITE, main
 
 GRID_TEXT = (
@@ -441,9 +443,10 @@ class TestIdentifySlices:
 
     @pytest.mark.parametrize("fmt", ["human", "csv"])
     def test_peak_memory_per_row_stays_small(self, tmp_path, fmt):
-        """Past the parsed numbers and the output text, one slice of rows is
-        alive at a time: the traced peak grows by well under the ~440 bytes a
-        row that holding every observation and record took."""
+        """Past the parsed numbers, one slice of rows and of output text is
+        alive at a time, and no whole-file text: the traced peak grows by about
+        the six parsed columns' 48 bytes a row, well under the ~440 bytes a row
+        that holding every observation and record took."""
 
         def peak_bytes(n_rows):
             obs_file = tmp_path / f"obs{n_rows}.csv"
@@ -461,7 +464,7 @@ class TestIdentifySlices:
 
         peak_bytes(1)  # imports and first-call caches, outside the comparison
         growth = (peak_bytes(8192) - peak_bytes(2048)) / (8192 - 2048)
-        assert growth < 200
+        assert growth < 80
 
     def test_closed_stdout_exits_1_in_silence(self, tmp_path):
         obs_file = tmp_path / "obs.csv"
@@ -476,6 +479,74 @@ class TestIdentifySlices:
         proc.stderr.close()
         assert proc.wait() == 1
         assert stderr == b""
+
+
+class TestIdentifyRowCheck:
+    """``identify --obs`` checks every row before its first write: all at once from
+    the column sums and extremes, or, when those fail, row by row for the first
+    bad row's error."""
+
+    GOOD = "0.0,0.0,0.0,0.0,101325.0,288.15"
+    N_ROWS = 2 * _ROWS_PER_WRITE + 5
+
+    def _text(self, edits):
+        rows = [self.GOOD.split(",") for _ in range(self.N_ROWS)]
+        for row, field, value in edits:
+            rows[row][field] = value
+        return "\n".join(["t_s,lon_deg,lat_deg,h_m,p_pa,t_k", *map(",".join, rows)]) + "\n"
+
+    @pytest.mark.parametrize("row", [0, _ROWS_PER_WRITE + 3])
+    @pytest.mark.parametrize(
+        "field, value",
+        [(0, "1e999"), (0, "-1e999"), (1, "1e999"), (1, "-1e999"), (2, "90.0000000001"),
+         (2, "-90.0000000001"), (2, "1e999"), (3, "-3178383.0"), (3, "1e999"), (4, "0.0"),
+         (4, "-0.0"), (4, "1e999"), (5, "0.0"), (5, "-1e999")],
+    )
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_first_bad_row_raises_as_when_loaded(self, runner, tmp_path, row, field, value, fmt):
+        # Past the first slice, the row is the only bad one: a check that missed it would
+        # write a slice. In the first, a later row bad in another field must not be named.
+        later = [(self.N_ROWS - 1, (field + 2) % 6, "1e999")] if row == 0 else []
+        text = self._text([(row, field, value), *later])
+        with pytest.raises(insa.ParseError) as expected:
+            load_observations(text)
+        assert str(expected.value).startswith(f"observation row {row + 1}: ")
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(text)
+        result = runner.invoke(main, ["identify", "--obs", str(obs_file), "--format", fmt])
+        assert result.exit_code == 5
+        assert result.stderr == f"error: {expected.value}\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "edits, at_once",
+        [([(5, 2, "90.0"), (9, 2, "-90.0")], True), ([(5, 3, "-3178382.9999999995")], True),
+         ([(5, 4, "5e-324"), (9, 5, "5e-324")], True), ([(5, 0, "1e308"), (9, 0, "1e308")], False),
+         ([(5, 1, "-1e308"), (9, 1, "-1e308"), (11, 3, "1e308"), (12, 3, "1e308")], False)],
+        ids=["latitude_poles", "altitude_floor", "tiny_p_and_T", "time_sum_overflows",
+             "sums_overflow"],
+    )
+    def test_rows_on_the_edges_pass(self, runner, tmp_path, edits, at_once):
+        text = self._text(edits)
+        expected = io.StringIO()
+        with contextlib.redirect_stdout(expected):
+            reference_identify_output(identify_offsets_batch(load_observations(text)), "csv")
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(text)
+        with mock.patch.object(offset_field, "Observation", wraps=offset_field.Observation) as new:
+            result = runner.invoke(main, ["identify", "--obs", str(obs_file), "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.stdout == expected.getvalue()
+        # An overflowing sum clears nothing at once, and every row is built twice.
+        assert new.call_count == (1 if at_once else 2) * self.N_ROWS
+
+    def test_one_observation_a_row_when_every_row_passes(self, runner, tmp_path):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(_seam_observation_text(self.N_ROWS))
+        with mock.patch.object(offset_field, "Observation", wraps=offset_field.Observation) as new:
+            result = runner.invoke(main, ["identify", "--obs", str(obs_file)])
+        assert result.exit_code == 0
+        assert new.call_count == self.N_ROWS
 
 
 class TestConvert:
@@ -604,6 +675,35 @@ class TestGridValidate:
         assert result.exit_code == 5
         assert "descending order" in result.stderr
 
+    def test_peak_memory_per_row_is_below_the_file_bytes(self, tmp_path):
+        """The file is read in pieces: the traced peak grows by the five parsed
+        columns' 40 bytes a row, less than the file's own bytes a row."""
+
+        def growth(n_t):
+            rows = [f"{t!r},{lon!r},{lat!r},{math.sin(t + lon) * 20!r},{math.cos(lat) * 999!r}\n"
+                    for t in range(0, n_t * 3600, 3600)
+                    for lon in range(0, 360, 5)
+                    for lat in range(-90, 91, 2)]
+            grid_file = tmp_path / f"grid{n_t}.csv"
+            grid_file.write_text(GRID_TEXT.splitlines()[0] + "\n" + "".join(rows))
+            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(SystemExit) as exit_:
+                        main.main(["grid-validate", str(grid_file)])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert exit_.value.code == 0
+            return peak, len(rows), grid_file.stat().st_size
+
+        growth(2)  # first-call caches, outside the comparison
+        (peak_a, rows_a, size_a), (peak_b, rows_b, size_b) = growth(2), growth(8)
+        file_bytes_per_row = (size_b - size_a) / (rows_b - rows_a)
+        assert file_bytes_per_row > 45  # more than the columns take: 51 here
+        # 40 here; 91 with the whole text held, as when the file was read at once.
+        assert (peak_b - peak_a) / (rows_b - rows_a) < file_bytes_per_row
+
 
 @pytest.mark.parametrize(
     "args",
@@ -622,6 +722,29 @@ def test_non_utf8_file_exit_code(runner, tmp_path, args):
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
     assert str(path) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, header",
+    [
+        (["identify", "--obs", "{}"], "t_s,lon_deg,lat_deg,h_m,p_pa,t_k"),
+        (["grid-validate", "{}"], "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"),
+        (["props", "--grid", "{}", "--time", "0", "--lon", "0", "--lat", "0", "--hp", "0"],
+         "t_s,lon_deg,lat_deg,delta_t_k,delta_p_pa"),
+    ],
+    ids=["identify", "grid-validate", "props"],
+)
+def test_bad_byte_after_100_kb_wins_over_a_syntax_error_on_line_2(runner, tmp_path, args, header):
+    n_fields = header.count(",") + 1
+    head = "".join([header, "\n", "abc,1.0\n", *(",".join(["1.0"] * n_fields) + "\n"
+                                                 for _ in range(30_000))]).encode()
+    assert len(head) > 100_000
+    path = tmp_path / "input.csv"
+    path.write_bytes(head + b"\xff1.0\n")
+    result = runner.invoke(main, [a.format(path) for a in args])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr == f"error: {path}: not UTF-8 at byte {len(head)} (invalid start byte)\n"
 
 
 # Usage errors the parser raises by itself, and a negative value after an option.

@@ -1,14 +1,18 @@
 import itertools
 import math
+import os
 import pickle
 import random
 import re
 import sys
+import tempfile
 import threading
+import time
 import tracemalloc
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,7 +41,7 @@ from insa import (
 )
 from insa.identification import Observation
 from insa import offset_field
-from insa.offset_field import GRID_HEADER, OBSERVATION_HEADER
+from insa.offset_field import GRID_HEADER, OBSERVATION_HEADER, _file_blocks
 
 TWO_PI = 2.0 * math.pi
 MSL = GeodeticPosition(lon=0.0, lat=0.0, h=0.0)
@@ -1101,6 +1105,42 @@ def observation_texts(draw):
 
 # Block sizes that put every line, a few lines or the whole file in one block.
 BLOCK_CHARS = st.sampled_from([1, 50, 400, offset_field._BLOCK_CHARS])
+# Read sizes that split multi-byte characters and CR LF pairs, or hold a few lines.
+READ_BYTES = st.sampled_from([1, 2, 3, 7, 50, 400])
+# Byte runs that are not UTF-8 by themselves; some complete a character they follow.
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80",
+            b"\xc0\xaf"]
+
+
+@contextmanager
+def file_holding(data):
+    """The path of a file holding ``data`` (a str is written as UTF-8 with its line breaks)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.csv")
+        with open(path, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        yield path
+
+
+def reference_read_text(path):
+    """The whole-file read that the file pieces replaced, kept as their reference."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 at byte {err.start} ({err.reason})") from None
+
+
+def _parse_outcome(source, header):
+    """Each column's bytes, checked to hold exactly its rows; or the error type and message."""
+    try:
+        columns = offset_field._parse_values(source, header)
+    except AtmosphereError as err:
+        return type(err), str(err)
+    for column in columns:
+        assert sys.getsizeof(column) == sys.getsizeof(array("d", column))  # no spare slots
+    return [column.tobytes() for column in columns]
 
 
 class TestParseDifferential:
@@ -1214,6 +1254,131 @@ class TestParseDifferential:
         got = _load_outcome(load_grid, text)
         assert got == _load_outcome(load_grid, lf)
         assert isinstance(got[0], bytes)  # a grid, not an error
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_texts().flatmap(decorated), READ_BYTES)
+    def test_grid_file_pieces_match_the_text(self, text, read_bytes):
+        with file_holding(text) as path:
+            with mock.patch.object(offset_field, "_BLOCK_CHARS", read_bytes):
+                assert (_parse_outcome(_file_blocks(path), GRID_HEADER)
+                        == _parse_outcome(text, GRID_HEADER))
+                got = _load_outcome(lambda p: load_grid(_file_blocks(p)), path)
+        assert got == _load_outcome(load_grid, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(observation_texts(), READ_BYTES)
+    def test_observation_file_pieces_match_the_text(self, text, read_bytes):
+        with file_holding(text) as path:
+            with mock.patch.object(offset_field, "_BLOCK_CHARS", read_bytes):
+                assert (_parse_outcome(_file_blocks(path), OBSERVATION_HEADER)
+                        == _parse_outcome(text, OBSERVATION_HEADER))
+                got = _observations_outcome(lambda p: load_observations(_file_blocks(p)), path)
+        assert got == _observations_outcome(load_observations, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_texts().flatmap(decorated), st.sampled_from(NOT_UTF8), st.floats(0.0, 1.0),
+           READ_BYTES)
+    def test_bad_bytes_match_a_whole_file_read(self, text, bad, where, read_bytes):
+        data = text.encode("utf-8")
+        at = int(where * len(data))
+        with file_holding(data[:at] + bad + data[at:]) as path:
+            with mock.patch.object(offset_field, "_BLOCK_CHARS", read_bytes):
+                got = _load_outcome(lambda p: load_grid(_file_blocks(p)), path)
+            assert got == _load_outcome(lambda p: load_grid(reference_read_text(p)), path)
+
+
+class TestFileBlocks:
+    """``_file_blocks``: a file's text in pieces, with the whole-file read's errors."""
+
+    ROWS = [f"{k}.0,1.5,2.5,3.5,4.5" for k in range(4000)]
+
+    @pytest.mark.parametrize("line_2", ["0.5,1.5,2.5,3.5,4.5", "0.5,1.5,2.5,3.5"],
+                             ids=["valid", "syntax_error"])
+    def test_bad_byte_past_the_first_read(self, line_2):
+        head = grid_file([line_2, *self.ROWS]).encode()
+        assert len(head) > 2 * offset_field._BLOCK_CHARS
+        with file_holding(head + b"\xff" + grid_file(self.ROWS).encode()) as path:
+            message = f"{path}: not UTF-8 at byte {len(head)} (invalid start byte)"
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                load_grid(_file_blocks(path))
+
+    @pytest.mark.parametrize("read_bytes", range(1, 12))
+    def test_character_split_across_two_reads(self, read_bytes):
+        text = grid_file(["0.0,\u30000.5\u3000,\xa040.0,-0.0,1.0", "0.0,0.5,41.0,\u20092.0,3.0",
+                          "7.0,0.5,40.0,4.0,5.0", "7.0,0.5,41.0,6.0,7.0"])
+        with file_holding(text) as path, mock.patch.object(offset_field, "_BLOCK_CHARS", read_bytes):
+            assert _load_outcome(lambda p: load_grid(_file_blocks(p)), path) == _load_outcome(
+                load_grid, text)
+        cut = grid_file(["0.0,0.5,40.0,1.0,"]).encode()
+        # A character's first bytes followed by ASCII, in the middle and at the end of the file.
+        for data, reason in [(cut + b"\xe2\x82" + cut, "invalid continuation byte"),
+                             (cut + b"\xe2\x82", "unexpected end of data")]:
+            with file_holding(data) as path:
+                message = f"{path}: not UTF-8 at byte {len(cut)} ({reason})"
+                with mock.patch.object(offset_field, "_BLOCK_CHARS", read_bytes):
+                    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                        load_grid(_file_blocks(path))
+
+    @pytest.mark.parametrize("read_bytes", range(1, 30))
+    def test_cr_lf_pair_split_across_two_reads(self, read_bytes):
+        rows = ["0.0,0.5,40.0,1.0,2.0", "", "0.0,0.5,41.0,1.0,2.0", "1.0,0.5,40.0,1.0,2.0", "x"]
+        crlf = grid_file(rows).replace("\n", "\r\n")
+        with file_holding(crlf) as path, mock.patch.object(offset_field, "_BLOCK_CHARS", read_bytes):
+            with pytest.raises(ParseError, match="^line 6: expected 5 fields, got 1$"):
+                load_grid(_file_blocks(path))
+            pieces = list(_file_blocks(path))[1:]
+        assert "".join(pieces) == crlf
+        assert not any(piece.endswith("\r") for piece in pieces)
+
+    def test_cr_only_file_loads_in_linear_time(self):
+        # 16k reads of 128 bytes: rebuilding the held text at each read copies about 8 GB,
+        # some 7 times the time of the LF twin, against less than once for the held list.
+        rows = [f"{t}.0,{x},{y},-0.0,4.5" for t in range(25_000) for x in (1, 2) for y in (3, 4)]
+        lf = grid_file(rows)
+        seconds = {"lf": math.inf, "cr": math.inf}
+        with mock.patch.object(offset_field, "_BLOCK_CHARS", 128):
+            for name, text in [("lf", lf), ("cr", lf.replace("\n", "\r"))] * 2:
+                with file_holding(text) as path:
+                    start = time.process_time()
+                    got = _load_outcome(lambda p: load_grid(_file_blocks(p)), path)
+                    seconds[name] = min(seconds[name], time.process_time() - start)
+                assert got == _load_outcome(load_grid, lf)
+        assert seconds["cr"] < 3 * seconds["lf"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty file"), (GRID_HEADER, "no data rows"), (GRID_HEADER + "\r\n\n \n", "no data rows")],
+        ids=["empty", "header_only", "header_and_blank_lines"],
+    )
+    def test_empty_and_header_only_files(self, text, message):
+        with file_holding(text) as path:
+            with pytest.raises(ParseError, match=f"^{message}$"):
+                load_grid(_file_blocks(path))
+
+    def test_pipe_is_read_whole(self):
+        text = grid_file(MINIMAL_ROWS)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fifo")
+            os.mkfifo(path)
+            writer = threading.Thread(target=Path(path).write_text, args=(text,))
+            writer.start()
+            try:
+                got = _load_outcome(lambda p: load_grid(_file_blocks(p)), path)
+            finally:
+                writer.join()
+        assert got == _load_outcome(load_grid, text)
+        assert isinstance(got[0], bytes)  # a grid, not an error
+
+    @pytest.mark.parametrize("edit", ["lf", "blank_line_after_each_row", "cr_only"])
+    def test_columns_hold_exactly_their_rows(self, edit):
+        rows = [f"{t}.0,{x},{y},-0.0,4.5" for t in range(3000) for x in (1, 2) for y in (3, 4)]
+        lf = grid_file(rows)
+        text = {"lf": lf, "blank_line_after_each_row": lf.replace("\n", "\n\n"),
+                "cr_only": lf.replace("\n", "\r")}[edit]
+        exact = sys.getsizeof(array("d", [0.0]) * 12_000)
+        with file_holding(text) as path:
+            for grid in (load_grid(text), load_grid(_file_blocks(path))):
+                assert sys.getsizeof(grid.delta_T.obj) == sys.getsizeof(grid.delta_p.obj) == exact
 
 
 class TestLoadObservations:
