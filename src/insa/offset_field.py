@@ -629,7 +629,7 @@ def _observation_slices(source: str | Iterator, n_rows: int) -> Iterator[Iterato
     if not (all(math.isfinite(sum(column)) for column in columns)
             and -math.pi / 2.0 <= math.radians(min(lat)) and math.radians(max(lat)) <= math.pi / 2.0
             and min(h) > -RE / 2.0 and min(p) > 0.0 and min(T) > 0.0):
-        all(_observations(columns))  # every row built, in file order
+        all(_observations(columns))  # builds each row in file order: the first bad one raises
     return (_observations([column[i:i + n_rows] for column in columns], i + 1)
             for i in range(0, len(columns[0]), n_rows))
 
